@@ -107,7 +107,6 @@ RunResult runtime_rps(
   cfg.shard_count = shards;
   cfg.queue.capacity = 4096;
   cfg.queue.max_batch = 32;
-  cfg.queue.max_wait_us = 200;
   cfg.backend = bench_backend();
   serve::ServerRuntime runtime(cfg);
   for (std::size_t t = 0; t < tenants.size(); ++t) {
@@ -168,7 +167,6 @@ MixedResult mixed_priority_rps(
   cfg.shard_count = 1;        // one worker: scheduling fully decides order
   cfg.queue.capacity = 256;   // small enough that the closed loop overloads it
   cfg.queue.max_batch = 32;
-  cfg.queue.max_wait_us = 200;
   cfg.backend = bench_backend();
   serve::ServerRuntime runtime(cfg);
   serve::TenantPolicy high_policy;
@@ -245,7 +243,6 @@ OpenLoopResult open_loop_rps(
   cfg.shard_count = 8;
   cfg.queue.capacity = 4096;
   cfg.queue.max_batch = 32;
-  cfg.queue.max_wait_us = 200;
   cfg.backend = bench_backend();
 
   std::unique_ptr<train::TrainerRuntime> trainer;
@@ -353,7 +350,6 @@ double closed_loop_rps_counted(
   cfg.shard_count = 8;
   cfg.queue.capacity = 4096;
   cfg.queue.max_batch = 32;
-  cfg.queue.max_wait_us = 200;
   cfg.backend = bench_backend();
   if (export_cfg != nullptr) cfg.obs_export = *export_cfg;
   serve::ServerRuntime runtime(cfg);

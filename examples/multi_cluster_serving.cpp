@@ -101,7 +101,6 @@ int main() {
   serve::ServeConfig cfg;
   cfg.shard_count = 4;
   cfg.queue.max_batch = 16;
-  cfg.queue.max_wait_us = 300;
   serve::ServerRuntime runtime(cfg);
   for (const auto& t : tenants) {
     runtime.register_cluster(t.id, t.system);

@@ -126,7 +126,6 @@ int main() {
 
   serve::ServeConfig scfg;
   scfg.shard_count = 2;
-  scfg.queue.max_wait_us = 100;
   scfg.model_registry = trainer.registry();
   // The runtime itself can flush exports periodically and dumps once more
   // at shutdown — the files below are the authoritative final state.

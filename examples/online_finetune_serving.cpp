@@ -141,7 +141,6 @@ int main() {
 
   serve::ServeConfig scfg;
   scfg.shard_count = 2;
-  scfg.queue.max_wait_us = 100;
   scfg.model_registry = trainer.registry();
   scfg.recon_cache.capacity = 1024;
   serve::ServerRuntime runtime(scfg);

@@ -83,10 +83,10 @@ PushResult BatchQueue::push(PendingRequest&& pending,
     ++total_;
   }
   // notify_all, not notify_one: with multiple consumers, one of them may be
-  // lingering in a coalescing window for a *different* cluster and would
-  // absorb a single notification without extracting this request, leaving a
-  // top-level waiter asleep and the request stalled (the MPMC lost-wakeup).
-  // Waking every waiter guarantees an eligible consumer sees it.
+  // lingering for a burst of a *different* cluster. A single notification
+  // would end that linger but leave this request queued until the lingering
+  // consumer has served its batch, while a top-level waiter sleeps. Waking
+  // every waiter lets an idle consumer take it at once.
   cv_.notify_all();
   // Safety net for direct queue users that passed no out-vector (the
   // runtime always does): answer the evicted promise here.
@@ -123,19 +123,16 @@ ClusterId BatchQueue::pick_cluster() const {
   return best;
 }
 
-void BatchQueue::extract_cluster(ClusterId cluster, std::size_t limit,
-                                 std::vector<PendingRequest>& out) {
-  const auto it = lanes_.find(cluster);
-  if (it == lanes_.end()) return;
-  std::deque<Entry>& entries = it->second.entries;
-  if (entries.empty()) return;
-  const auto popped_at = std::chrono::steady_clock::now();
-  while (!entries.empty() && out.size() < limit) {
-    out.push_back(std::move(entries.front().pending));
-    out.back().popped_at = popped_at;
-    entries.pop_front();
+std::chrono::steady_clock::time_point BatchQueue::extract(
+    Lane& lane, std::vector<PendingRequest>& out) {
+  std::chrono::steady_clock::time_point last_queued_at;
+  while (!lane.entries.empty() && out.size() < config_.max_batch) {
+    last_queued_at = lane.entries.front().queued_at;
+    out.push_back(std::move(lane.entries.front().pending));
+    lane.entries.pop_front();
     --total_;
   }
+  return last_queued_at;
 }
 
 std::vector<PendingRequest> BatchQueue::pop_batch() {
@@ -145,21 +142,36 @@ std::vector<PendingRequest> BatchQueue::pop_batch() {
   if (total_ == 0) return batch;  // closed and drained
 
   const ClusterId target = pick_cluster();
-  extract_cluster(target, config_.max_batch, batch);
+  Lane& lane = lanes_.at(target);
+  const auto gap = lane.burst_gap;
+  const auto first_queued_at = lane.entries.front().queued_at;
+  auto last_queued_at = extract(lane, batch);
 
-  // Coalescing window: once we own the batch's first request, linger up to
-  // max_wait_us for more of the same cluster. Closed queues skip the wait
-  // so shutdown drains promptly.
-  const auto deadline = std::chrono::steady_clock::now() +
-                        std::chrono::microseconds(config_.max_wait_us);
-  while (batch.size() < config_.max_batch && !closed_ &&
-         config_.max_wait_us > 0) {
-    if (cv_.wait_until(lock.native(), deadline) == std::cv_status::timeout) {
-      extract_cluster(target, config_.max_batch, batch);
-      break;
+  // Burst-aware linger: only a lane whose previous batch was a burst waits
+  // for more of itself, and only while no other lane has work. The lane is
+  // looked up again after every wait because erase_lane may drop it once
+  // it is empty.
+  while (gap.count() > 0 && batch.size() < config_.max_batch && !closed_ &&
+         total_ == 0) {
+    const auto deadline = std::chrono::steady_clock::now() + 2 * gap;
+    while (!closed_ && total_ == 0 &&
+           cv_.wait_until(lock.native(), deadline) ==
+               std::cv_status::no_timeout) {
     }
-    extract_cluster(target, config_.max_batch, batch);
+    const auto it = lanes_.find(target);
+    if (it == lanes_.end() || it->second.entries.empty()) break;
+    last_queued_at = extract(it->second, batch);
   }
+  const auto it = lanes_.find(target);
+  if (it != lanes_.end()) {
+    it->second.burst_gap =
+        batch.size() > 1
+            ? (last_queued_at - first_queued_at) /
+                  static_cast<std::int64_t>(batch.size() - 1)
+            : std::chrono::steady_clock::duration::zero();
+  }
+  const auto popped_at = std::chrono::steady_clock::now();
+  for (PendingRequest& pending : batch) pending.popped_at = popped_at;
   return batch;
 }
 

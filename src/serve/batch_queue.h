@@ -10,9 +10,17 @@
 // model), so the shard can decode them with a single batched GEMM. The
 // cluster is chosen by weighted priority with an aging term — high-priority
 // tenants go first, but a waiting head request's score grows with its age so
-// low-priority tenants cannot starve. pop_batch waits up to max_wait for
-// stragglers of the same cluster once the first request is in hand, trading
-// a bounded latency hit for batch occupancy.
+// low-priority tenants cannot starve.
+//
+// Batching is work-conserving and burst-aware. Each lane remembers the mean
+// arrival gap of its previous batch (zero after a single-request batch).
+// After the first extract, pop_batch keeps collecting for the same lane
+// only while that gap is non-zero, the batch is below max_batch, the queue
+// is open and no other lane has queued work; each wait lasts at most twice
+// the remembered gap, and the first wait in which nothing arrives ends the
+// batch. A lone request on a quiet lane is therefore popped at once, while
+// a round of back-to-back latents from one producer still leaves as one
+// batch.
 #pragma once
 
 #include <chrono>
@@ -32,7 +40,6 @@ namespace orco::serve {
 struct BatchQueueConfig {
   std::size_t capacity = 1024;   // pending requests before shedding
   std::size_t max_batch = 32;    // coalescing ceiling per pop
-  std::uint64_t max_wait_us = 200;  // coalescing window after first request
   /// Microseconds of head-of-line wait that double a cluster's scheduling
   /// score. Smaller values age faster (fairer, less strict priority);
   /// 0 disables aging (pure weighted priority + FIFO tie-break).
@@ -59,7 +66,9 @@ class BatchQueue {
   /// and drained — then returns empty). Returns up to max_batch requests,
   /// all for the same cluster, preserving per-cluster FIFO order. Other
   /// clusters' requests keep their positions. The cluster is picked by
-  /// schedule_weight() x an aging factor of its head request's wait.
+  /// schedule_weight() x an aging factor of its head request's wait; the
+  /// batch then lingers for the lane's burst as described above. Every
+  /// request's popped_at is stamped as the batch leaves, after any linger.
   std::vector<PendingRequest> pop_batch();
 
   /// Stops intake and wakes consumers; queued requests remain poppable so a
@@ -89,12 +98,15 @@ class BatchQueue {
     std::uint64_t seq = 0;  // global arrival order, for FIFO tie-breaks
     std::chrono::steady_clock::time_point queued_at;
   };
-  /// One tenant's FIFO lane plus its policy. Lanes are created on first
-  /// push or set_policy and live until erase_lane (the fleet's demotion
-  /// path) reclaims them once drained.
+  /// One tenant's FIFO lane plus its policy and burst history. Lanes are
+  /// created on first push or set_policy and live until erase_lane (the
+  /// fleet's demotion path) reclaims them once drained.
   struct Lane {
     TenantPolicy policy;
     std::deque<Entry> entries;
+    /// Mean arrival gap of the lane's previous batch; zero when it held a
+    /// single request (or the lane has not been popped yet).
+    std::chrono::steady_clock::duration burst_gap{};
   };
 
   /// Creates the lane with the default policy if new.
@@ -102,9 +114,10 @@ class BatchQueue {
   /// Picks the non-empty lane with the highest aged score. At least one
   /// lane must be non-empty.
   ClusterId pick_cluster() const ORCO_REQUIRES(mu_);
-  /// Moves up to `limit` requests for `cluster` out of its lane into out.
-  void extract_cluster(ClusterId cluster, std::size_t limit,
-                       std::vector<PendingRequest>& out) ORCO_REQUIRES(mu_);
+  /// Moves requests from `lane` into out until it is empty or out holds
+  /// max_batch; returns the queued_at stamp of the last one moved.
+  std::chrono::steady_clock::time_point extract(
+      Lane& lane, std::vector<PendingRequest>& out) ORCO_REQUIRES(mu_);
 
   BatchQueueConfig config_;
   mutable common::Mutex mu_;

@@ -89,8 +89,9 @@ struct PendingRequest {
   /// Set by whoever resolves the promise; the shard's answer-all scope
   /// guard uses it to find requests left unanswered by an exception.
   bool answered = false;
-  /// Stamped by BatchQueue::extract_cluster when the request leaves the
-  /// queue: enqueued_at -> popped_at is the queue-wait stage.
+  /// Stamped by BatchQueue::pop_batch when the request's batch leaves the
+  /// queue, after any linger: enqueued_at -> popped_at is the queue-wait
+  /// stage.
   std::chrono::steady_clock::time_point popped_at;
 
   PendingRequest() = default;

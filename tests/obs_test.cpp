@@ -441,7 +441,10 @@ TEST(TraceTest, ChromeJsonRoundTripsAndServeSpansNest) {
   EXPECT_GE(by_name["request"], 8);
 
   // Per traced request: the stage spans nest inside the request span and
-  // their durations sum to no more than the end-to-end latency.
+  // their durations sum to no more than the end-to-end latency. The
+  // request's own batch is the one served after it left the queue; spans
+  // of an earlier batch that ran while it waited are already inside its
+  // queue wait and are not counted twice.
   for (const unsigned long long id : ids) {
     const SpanRec* request = nullptr;
     const SpanRec* queue_wait = nullptr;
@@ -462,8 +465,9 @@ TEST(TraceTest, ChromeJsonRoundTripsAndServeSpansNest) {
       if (s.name != "assembly" && s.name != "decode" && s.name != "respond") {
         continue;
       }
-      // Batch-scoped spans: count the ones inside this request's window.
-      if (s.ts >= request->ts - 1 &&
+      // Batch-scoped spans: count the ones between this request's pop and
+      // its response.
+      if (s.ts >= queue_wait->ts + queue_wait->dur - 1 &&
           s.ts + s.dur <= request->ts + request->dur + 1) {
         stage_sum += s.dur;
       }

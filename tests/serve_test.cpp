@@ -1,5 +1,6 @@
 // Tests for the multi-cluster serving runtime (src/serve): shard routing,
-// batch coalescing, batched-vs-sequential decode equality, backpressure,
+// batch coalescing and the burst-aware linger, stage accounting,
+// batched-vs-sequential decode equality, backpressure,
 // per-tenant QoS (quota admission, priority eviction, weighted-aging
 // scheduling), MPMC wakeup delivery, exception-safe batch fan-out, and
 // graceful shutdown.
@@ -10,6 +11,7 @@
 #include <mutex>
 #include <set>
 #include <thread>
+#include <utility>
 #include <vector>
 
 #include "serve/serve.h"
@@ -41,6 +43,34 @@ Tensor random_latent(std::size_t latent_dim, common::Pcg32& rng) {
   return Tensor::randn({latent_dim}, rng);
 }
 
+double ms_since(std::chrono::steady_clock::time_point t0) {
+  return std::chrono::duration<double, std::milli>(
+             std::chrono::steady_clock::now() - t0)
+      .count();
+}
+
+void push_request(BatchQueue& queue, ClusterId cluster, RequestId id) {
+  PendingRequest p;
+  p.request.cluster = cluster;
+  p.request.id = id;
+  ASSERT_EQ(queue.push(std::move(p)), PushResult::kAccepted);
+}
+
+/// Arrival gap of a spaced prior burst: the lane's next batch lingers up to
+/// twice this for more of the lane.
+constexpr std::chrono::milliseconds kSpacedGap{200};
+
+/// Gives `cluster`'s lane a remembered arrival gap of about `gap`: two
+/// requests pushed `gap` apart, with no consumer running, leave as one
+/// batch.
+void prime_burst_gap(BatchQueue& queue, ClusterId cluster,
+                     std::chrono::milliseconds gap) {
+  push_request(queue, cluster, 1000);
+  std::this_thread::sleep_for(gap);
+  push_request(queue, cluster, 1001);
+  ASSERT_EQ(queue.pop_batch().size(), 2u);
+}
+
 TEST(ShardRoutingTest, SameClusterAlwaysSameShard) {
   for (ClusterId id = 0; id < 500; ++id) {
     const std::size_t first = shard_for(id, 8);
@@ -65,7 +95,6 @@ TEST(ShardRoutingTest, SpreadsClustersAcrossShards) {
 TEST(BatchQueueTest, CoalescesOnlyOneClusterPerBatchInFifoOrder) {
   BatchQueueConfig cfg;
   cfg.max_batch = 8;
-  cfg.max_wait_us = 0;  // no lingering: deterministic pops
   BatchQueue queue(cfg);
 
   auto push = [&](ClusterId cluster, RequestId id) {
@@ -97,7 +126,6 @@ TEST(BatchQueueTest, CoalescesOnlyOneClusterPerBatchInFifoOrder) {
 TEST(BatchQueueTest, RespectsMaxBatch) {
   BatchQueueConfig cfg;
   cfg.max_batch = 4;
-  cfg.max_wait_us = 0;
   BatchQueue queue(cfg);
   for (RequestId id = 0; id < 10; ++id) {
     PendingRequest p;
@@ -128,7 +156,6 @@ TEST(BatchQueueTest, ShedsAtCapacityAndClosedAfterClose) {
 TEST(BatchQueueTest, WeightedPriorityPicksHighFirstAndAgingUnblocksLow) {
   BatchQueueConfig cfg;
   cfg.max_batch = 8;
-  cfg.max_wait_us = 0;
   cfg.aging_us = 1000;  // 1 ms of head wait doubles a lane's score
   BatchQueue queue(cfg);
   TenantPolicy high;
@@ -189,7 +216,6 @@ TEST(BatchQueueTest, PerTenantQuotaShedsBeforeGlobalCapacity) {
 TEST(BatchQueueTest, HighPriorityPushEvictsNewestLowPriorityAtCapacity) {
   BatchQueueConfig cfg;
   cfg.capacity = 2;
-  cfg.max_wait_us = 0;
   BatchQueue queue(cfg);
   TenantPolicy high;
   high.priority = Priority::kHigh;
@@ -226,11 +252,13 @@ TEST(BatchQueueTest, HighPriorityPushEvictsNewestLowPriorityAtCapacity) {
   EXPECT_EQ(batch[1].request.id, 11u);
 }
 
-TEST(BatchQueueTest, CloseDuringCoalescingWindowDrainsPartialBatches) {
+TEST(BatchQueueTest, CloseDuringLingerDrainsPartialBatches) {
   BatchQueueConfig cfg;
   cfg.max_batch = 8;
-  cfg.max_wait_us = 500000;  // 500 ms window
   BatchQueue queue(cfg);
+  // Lane 2's previous batch was a spaced burst, so its next batch lingers
+  // up to ~400 ms for more of it.
+  prime_burst_gap(queue, 2, kSpacedGap);
   auto push = [&](ClusterId cluster, RequestId id) {
     PendingRequest p;
     p.request.cluster = cluster;
@@ -249,33 +277,31 @@ TEST(BatchQueueTest, CloseDuringCoalescingWindowDrainsPartialBatches) {
       batch_sizes.push_back(batch.size());
     }
   });
-  // The consumer is lingering in the coalescing window of its first batch;
-  // close() must cut the window short and drain the partial batches.
+  // Lane 1 goes first and cannot linger while lane 2 has work; the consumer
+  // then lingers on lane 2's batch. close() must cut the linger short and
+  // drain the partial batches.
   std::this_thread::sleep_for(std::chrono::milliseconds(100));
   queue.close();
   consumer.join();
-  const double elapsed_ms =
-      std::chrono::duration<double, std::milli>(
-          std::chrono::steady_clock::now() - t0)
-          .count();
+  const double elapsed_ms = ms_since(t0);
   ASSERT_EQ(batch_sizes.size(), 2u);
   EXPECT_EQ(batch_sizes[0], 1u);
   EXPECT_EQ(batch_sizes[1], 1u);
-  // Both single-request batches must drain well before the 500 ms window
-  // (one window alone would run past it, two sequential windows past 1 s).
+  // Both single-request batches must drain well before lane 2's ~400 ms
+  // linger would run out.
   EXPECT_LT(elapsed_ms, 400.0);
 }
 
-TEST(BatchQueueTest, PushWakesSecondConsumerDuringCoalescingWindow) {
-  // MPMC lost-wakeup regression: consumer 1 lingers in the coalescing
-  // window for cluster 1; consumer 2 starts waiting afterwards (so a FIFO
-  // single wakeup would land on consumer 1, which cannot extract cluster
-  // 2's work). A push for cluster 2 must still reach consumer 2 promptly
-  // instead of stalling until consumer 1's window expires.
+TEST(BatchQueueTest, PushWakesSecondConsumerDuringLinger) {
+  // MPMC lost-wakeup regression: consumer 1 lingers for more of cluster 1;
+  // consumer 2 starts waiting afterwards (so a FIFO single wakeup would land
+  // on consumer 1). A push for cluster 2 must still be extracted promptly
+  // instead of stalling until consumer 1's linger runs out.
   BatchQueueConfig cfg;
   cfg.max_batch = 8;
-  cfg.max_wait_us = 400000;  // 400 ms window
   BatchQueue queue(cfg);
+  // Cluster 1's next batch lingers up to ~400 ms.
+  prime_burst_gap(queue, 1, kSpacedGap);
   auto push = [&](ClusterId cluster, RequestId id) {
     PendingRequest p;
     p.request.cluster = cluster;
@@ -290,25 +316,21 @@ TEST(BatchQueueTest, PushWakesSecondConsumerDuringCoalescingWindow) {
   };
 
   push(1, 10);
-  std::thread c1(consume);  // grabs cluster 1, lingers in the window
+  std::thread c1(consume);  // grabs cluster 1, lingers for more of it
   std::this_thread::sleep_for(std::chrono::milliseconds(80));
   std::thread c2(consume);  // arrives at the top-level wait second
   std::this_thread::sleep_for(std::chrono::milliseconds(40));
 
   const auto push_b_at = std::chrono::steady_clock::now();
   push(2, 20);
-  // Poll until cluster 2's request leaves the queue: post-fix, consumer 2
-  // extracts it within milliseconds of the push; pre-fix, the single
-  // notification is absorbed by lingering consumer 1 and the request sits
-  // queued until consumer 1's ~400 ms window expires.
+  // Poll until cluster 2's request leaves the queue: it must go within
+  // milliseconds of the push, not after consumer 1's ~400 ms linger.
   const auto deadline =
       std::chrono::steady_clock::now() + std::chrono::seconds(2);
   double extracted_after_ms = -1.0;
   while (std::chrono::steady_clock::now() < deadline) {
     if (queue.size() == 0) {
-      extracted_after_ms = std::chrono::duration<double, std::milli>(
-                               std::chrono::steady_clock::now() - push_b_at)
-                               .count();
+      extracted_after_ms = ms_since(push_b_at);
       break;
     }
     std::this_thread::sleep_for(std::chrono::milliseconds(5));
@@ -321,6 +343,140 @@ TEST(BatchQueueTest, PushWakesSecondConsumerDuringCoalescingWindow) {
   EXPECT_LT(extracted_after_ms, 150.0);
 }
 
+TEST(BatchQueueTest, LoneRequestWithoutBurstHistoryPopsAtOnce) {
+  BatchQueueConfig cfg;
+  cfg.max_batch = 8;
+  BatchQueue queue(cfg);
+  // A fresh lane has no burst history: nothing to wait for.
+  push_request(queue, 1, 10);
+  auto t0 = std::chrono::steady_clock::now();
+  ASSERT_EQ(queue.pop_batch().size(), 1u);
+  EXPECT_LT(ms_since(t0), 50.0);
+
+  // Nor does a lane whose previous batch, after a spaced burst, held a
+  // single request: that batch reset the remembered gap to zero.
+  prime_burst_gap(queue, 2, kSpacedGap);
+  push_request(queue, 2, 20);
+  push_request(queue, 3, 30);  // other work: lane 2's batch cannot linger
+  ASSERT_EQ(queue.pop_batch().size(), 1u);
+  ASSERT_EQ(queue.pop_batch().size(), 1u);
+  push_request(queue, 2, 21);
+  t0 = std::chrono::steady_clock::now();
+  ASSERT_EQ(queue.pop_batch().size(), 1u);
+  EXPECT_LT(ms_since(t0), 50.0);
+}
+
+TEST(BatchQueueTest, BackToBackBurstFromOneProducerLeavesAsOneBatch) {
+  // A compressed aggregation round arrives as max_batch latents pushed
+  // back to back. The consumer is idle and takes the first one alone; it
+  // must linger for the rest instead of decoding the round as 1 + (n - 1).
+  BatchQueueConfig cfg;
+  cfg.max_batch = 32;
+  BatchQueue queue(cfg);
+  prime_burst_gap(queue, 1, std::chrono::milliseconds(20));
+
+  std::vector<std::size_t> batch_sizes;
+  std::thread consumer([&] {
+    for (;;) {
+      auto batch = queue.pop_batch();
+      if (batch.empty()) return;
+      batch_sizes.push_back(batch.size());
+    }
+  });
+  std::this_thread::sleep_for(std::chrono::milliseconds(20));  // idle
+  std::thread producer([&] {
+    push_request(queue, 1, 0);
+    while (queue.size() > 0) std::this_thread::yield();  // taken alone
+    for (RequestId id = 1; id < cfg.max_batch; ++id) {
+      push_request(queue, 1, id);
+    }
+  });
+  producer.join();
+  const auto deadline =
+      std::chrono::steady_clock::now() + std::chrono::seconds(2);
+  while (queue.size() > 0 && std::chrono::steady_clock::now() < deadline) {
+    std::this_thread::sleep_for(std::chrono::milliseconds(5));
+  }
+  queue.close();
+  consumer.join();
+  ASSERT_EQ(batch_sizes.size(), 1u);
+  EXPECT_EQ(batch_sizes[0], cfg.max_batch);
+}
+
+TEST(BatchQueueTest, PushToAnotherLaneEndsLingerPromptly) {
+  // One consumer, lingering for more of cluster 1: work for cluster 2 must
+  // not sit behind that linger.
+  BatchQueueConfig cfg;
+  cfg.max_batch = 8;
+  BatchQueue queue(cfg);
+  prime_burst_gap(queue, 1, kSpacedGap);  // cluster 1 lingers up to ~400 ms
+  push_request(queue, 1, 10);
+
+  std::vector<std::pair<ClusterId, double>> popped;  // cluster, ms after push
+  std::chrono::steady_clock::time_point push_b_at;
+  std::atomic<bool> pushed{false};
+  std::thread consumer([&] {
+    for (;;) {
+      auto batch = queue.pop_batch();
+      if (batch.empty()) return;
+      popped.emplace_back(batch.front().request.cluster,
+                          pushed.load() ? ms_since(push_b_at) : -1.0);
+    }
+  });
+  std::this_thread::sleep_for(std::chrono::milliseconds(50));  // lingering
+  push_b_at = std::chrono::steady_clock::now();
+  pushed.store(true);
+  push_request(queue, 2, 20);
+  const auto deadline =
+      std::chrono::steady_clock::now() + std::chrono::seconds(2);
+  while (queue.size() > 0 && std::chrono::steady_clock::now() < deadline) {
+    std::this_thread::sleep_for(std::chrono::milliseconds(5));
+  }
+  queue.close();
+  consumer.join();
+  ASSERT_EQ(popped.size(), 2u);
+  EXPECT_EQ(popped[0].first, 1u);
+  EXPECT_EQ(popped[1].first, 2u);
+  // Cluster 1's batch leaves as soon as cluster 2 has work, and cluster 2's
+  // follows at once, both long before the ~400 ms linger would run out.
+  EXPECT_GE(popped[0].second, 0.0);
+  EXPECT_LT(popped[1].second, 150.0);
+}
+
+TEST(BatchQueueTest, EraseLaneClearsBurstHistory) {
+  BatchQueueConfig cfg;
+  cfg.max_batch = 8;
+  BatchQueue queue(cfg);
+  prime_burst_gap(queue, 1, kSpacedGap);  // would linger up to ~400 ms
+  ASSERT_TRUE(queue.erase_lane(1));
+  push_request(queue, 1, 10);  // a new lane, with no history
+  const auto t0 = std::chrono::steady_clock::now();
+  ASSERT_EQ(queue.pop_batch().size(), 1u);
+  EXPECT_LT(ms_since(t0), 50.0);
+}
+
+TEST(BatchQueueTest, CloseCutsLingerShort) {
+  BatchQueueConfig cfg;
+  cfg.max_batch = 8;
+  BatchQueue queue(cfg);
+  prime_burst_gap(queue, 1, kSpacedGap);  // lingers up to ~400 ms
+  push_request(queue, 1, 10);
+  const auto t0 = std::chrono::steady_clock::now();
+  std::size_t batch_size = 0;
+  double popped_after_ms = -1.0;
+  std::thread consumer([&] {
+    batch_size = queue.pop_batch().size();
+    popped_after_ms = ms_since(t0);
+  });
+  std::this_thread::sleep_for(std::chrono::milliseconds(50));
+  queue.close();
+  consumer.join();
+  EXPECT_EQ(batch_size, 1u);
+  EXPECT_GE(popped_after_ms, 40.0);  // it did linger until the close
+  EXPECT_LT(popped_after_ms, 150.0);
+  EXPECT_TRUE(queue.pop_batch().empty());
+}
+
 TEST(ServeTest, BatchedDecodeBitwiseEqualsSequentialDecode) {
   const std::size_t latent_dim = 16;
   auto tenant = make_tenant(64, latent_dim);
@@ -328,7 +484,6 @@ TEST(ServeTest, BatchedDecodeBitwiseEqualsSequentialDecode) {
   ServeConfig cfg;
   cfg.shard_count = 1;
   cfg.queue.max_batch = 16;
-  cfg.queue.max_wait_us = 2000;
   ServerRuntime runtime(cfg);
   runtime.register_cluster(1, tenant);
 
@@ -367,10 +522,53 @@ TEST(ServeTest, BatchedDecodeBitwiseEqualsSequentialDecode) {
   EXPECT_LT(snapshot.batches, n);
 }
 
+TEST(ServeTest, LingeredBatchStagesAddUpToItsLatency) {
+  // Queue wait runs until the batch leaves the queue, after any linger, so
+  // a lingered request's stages (queue wait + assembly + decode + respond)
+  // account for its whole end-to-end latency.
+  ServeConfig cfg;
+  cfg.shard_count = 1;
+  ServerRuntime runtime(cfg);
+  runtime.register_cluster(1, make_tenant());
+
+  // Two requests 100 ms apart, queued before start(), leave as one batch:
+  // the lane now remembers a 100 ms arrival gap.
+  common::Pcg32 rng(31);
+  auto first = runtime.submit(1, random_latent(16, rng));
+  std::this_thread::sleep_for(std::chrono::milliseconds(100));
+  auto second = runtime.submit(1, random_latent(16, rng));
+  runtime.start();
+  EXPECT_EQ(first.get().batch_size, 2u);
+  EXPECT_EQ(second.get().batch_size, 2u);
+  // The respond stage is recorded after the promises resolve.
+  const auto respond = static_cast<std::size_t>(Telemetry::Stage::kRespond);
+  const auto deadline =
+      std::chrono::steady_clock::now() + std::chrono::seconds(2);
+  while (runtime.telemetry().stage_snapshot(1)[respond].requests < 2 &&
+         std::chrono::steady_clock::now() < deadline) {
+    std::this_thread::sleep_for(std::chrono::milliseconds(1));
+  }
+  const auto before = runtime.telemetry().stage_snapshot(1);
+
+  // A lone request now lingers up to 200 ms for more of its lane.
+  const DecodeResponse lone = runtime.submit(1, random_latent(16, rng)).get();
+  runtime.shutdown();  // joins the worker: every stage is recorded
+  const auto after = runtime.telemetry().stage_snapshot(1);
+  ASSERT_EQ(lone.status, ResponseStatus::kOk);
+  EXPECT_EQ(lone.batch_size, 1u);
+  EXPECT_GT(lone.latency_us, 150000.0);  // it did linger
+
+  double stages_us = 0.0;
+  for (std::size_t s = 0; s < Telemetry::kStageCount; ++s) {
+    EXPECT_EQ(after[s].requests - before[s].requests, 1u) << "stage " << s;
+    stages_us += static_cast<double>(after[s].us - before[s].us);
+  }
+  EXPECT_NEAR(stages_us, lone.latency_us, 2000.0);
+}
+
 TEST(ServeTest, HeterogeneousTenantsDecodeToTheirOwnDims) {
   ServeConfig cfg;
   cfg.shard_count = 4;
-  cfg.queue.max_wait_us = 100;
   ServerRuntime runtime(cfg);
   runtime.register_cluster(1, make_tenant(64, 16, 1));    // telemetry-ish
   runtime.register_cluster(2, make_tenant(128, 32, 2));   // image-ish
@@ -464,7 +662,6 @@ TEST(ServeTest, TenantPolicyEvictsLowPriorityAndTracksPerTenantTelemetry) {
   ServeConfig cfg;
   cfg.shard_count = 1;
   cfg.queue.capacity = 2;
-  cfg.queue.max_wait_us = 0;
   ServerRuntime runtime(cfg);
   TenantPolicy high;
   high.priority = Priority::kHigh;
@@ -547,7 +744,6 @@ TEST(ServeTest, BackpressureShedsBeyondQueueCapacity) {
 TEST(ServeTest, GracefulShutdownResolvesEveryInFlightFuture) {
   ServeConfig cfg;
   cfg.shard_count = 4;
-  cfg.queue.max_wait_us = 50;
   ServerRuntime runtime(cfg);
   for (ClusterId id = 1; id <= 8; ++id) {
     runtime.register_cluster(id, make_tenant(64, 16, id));

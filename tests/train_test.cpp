@@ -143,7 +143,6 @@ TEST(TrainerTest, FineTunesPublishesAndServingHotSwaps) {
 
   serve::ServeConfig scfg;
   scfg.shard_count = 1;
-  scfg.queue.max_wait_us = 100;
   scfg.model_registry = trainer.registry();
   serve::ServerRuntime runtime(scfg);
   runtime.register_cluster(1, system);
@@ -372,7 +371,6 @@ TEST(ReconstructionCacheTest, RepeatLatentServedFromCacheUntilSwap) {
 
   serve::ServeConfig scfg;
   scfg.shard_count = 1;
-  scfg.queue.max_wait_us = 100;
   scfg.model_registry = registry;
   scfg.recon_cache.capacity = 64;
   serve::ServerRuntime runtime(scfg);
@@ -440,7 +438,6 @@ TEST(SwapStressTest, EveryRequestAnsweredByExactlyOneCoherentVersion) {
   serve::ServeConfig scfg;
   scfg.shard_count = 1;
   scfg.queue.capacity = 4096;
-  scfg.queue.max_wait_us = 50;
   scfg.model_registry = registry;
   scfg.recon_cache.capacity = 128;  // the cache must stay swap-coherent too
   serve::ServerRuntime runtime(scfg);
