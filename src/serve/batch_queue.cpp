@@ -1,5 +1,6 @@
 #include "serve/batch_queue.h"
 
+#include <algorithm>
 #include <limits>
 
 #include "common/check.h"
@@ -16,6 +17,7 @@ BatchQueue::Lane& BatchQueue::lane_for(ClusterId cluster) {
   if (it != lanes_.end()) return it->second;
   Lane& lane = lanes_[cluster];
   lane.policy = config_.default_policy;
+  lane.generation = next_generation_++;
   return lane;
 }
 
@@ -123,6 +125,14 @@ ClusterId BatchQueue::pick_cluster() const {
   return best;
 }
 
+BatchQueue::Lane* BatchQueue::find_lane(ClusterId cluster,
+                                        std::uint64_t generation) {
+  const auto it = lanes_.find(cluster);
+  return it == lanes_.end() || it->second.generation != generation
+             ? nullptr
+             : &it->second;
+}
+
 std::chrono::steady_clock::time_point BatchQueue::extract(
     Lane& lane, std::vector<PendingRequest>& out) {
   std::chrono::steady_clock::time_point last_queued_at;
@@ -143,36 +153,57 @@ std::vector<PendingRequest> BatchQueue::pop_batch() {
 
   const ClusterId target = pick_cluster();
   Lane& lane = lanes_.at(target);
+  const std::uint64_t generation = lane.generation;
   const auto gap = lane.burst_gap;
+  const auto service = lane.service;
   const auto first_queued_at = lane.entries.front().queued_at;
   auto last_queued_at = extract(lane, batch);
 
-  // Burst-aware linger: only a lane whose previous batch was a burst waits
-  // for more of itself, and only while no other lane has work. The lane is
-  // looked up again after every wait because erase_lane may drop it once
-  // it is empty.
-  while (gap.count() > 0 && batch.size() < config_.max_batch && !closed_ &&
-         total_ == 0) {
-    const auto deadline = std::chrono::steady_clock::now() + 2 * gap;
-    while (!closed_ && total_ == 0 &&
-           cv_.wait_until(lock.native(), deadline) ==
-               std::cv_status::no_timeout) {
+  // Burst-aware linger: only a lane whose previous batch came fast enough
+  // to fill a whole batch within one of its service times waits for more
+  // of itself, only while no other lane has work, and never for longer
+  // than that service time. The lane is looked up again after every wait:
+  // erase_lane may drop it once it is empty, and a lane recreated under
+  // the same id belongs to a new tenant.
+  if (gap.count() > 0 &&
+      gap * static_cast<std::int64_t>(config_.max_batch) <= service) {
+    const auto linger_end = std::chrono::steady_clock::now() + service;
+    while (batch.size() < config_.max_batch && !closed_ && total_ == 0) {
+      const auto now = std::chrono::steady_clock::now();
+      if (now >= linger_end) break;
+      const auto deadline = std::min(now + 2 * gap, linger_end);
+      while (!closed_ && total_ == 0 &&
+             cv_.wait_until(lock.native(), deadline) ==
+                 std::cv_status::no_timeout) {
+      }
+      Lane* same = find_lane(target, generation);
+      if (same == nullptr || same->entries.empty()) break;
+      last_queued_at = extract(*same, batch);
     }
-    const auto it = lanes_.find(target);
-    if (it == lanes_.end() || it->second.entries.empty()) break;
-    last_queued_at = extract(it->second, batch);
   }
-  const auto it = lanes_.find(target);
-  if (it != lanes_.end()) {
-    it->second.burst_gap =
+  const auto popped_at = std::chrono::steady_clock::now();
+  if (Lane* same = find_lane(target, generation)) {
+    same->burst_gap =
         batch.size() > 1
             ? (last_queued_at - first_queued_at) /
                   static_cast<std::int64_t>(batch.size() - 1)
             : std::chrono::steady_clock::duration::zero();
+    same->popped_at = popped_at;
   }
-  const auto popped_at = std::chrono::steady_clock::now();
   for (PendingRequest& pending : batch) pending.popped_at = popped_at;
   return batch;
+}
+
+void BatchQueue::batch_served(
+    ClusterId cluster, std::chrono::steady_clock::time_point popped_at) {
+  const auto now = std::chrono::steady_clock::now();
+  common::MutexLock lock(mu_);
+  const auto it = lanes_.find(cluster);
+  if (it == lanes_.end() || it->second.popped_at != popped_at ||
+      popped_at == std::chrono::steady_clock::time_point{}) {
+    return;
+  }
+  it->second.service = now - popped_at;
 }
 
 void BatchQueue::close() {

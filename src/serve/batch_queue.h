@@ -13,14 +13,20 @@
 // low-priority tenants cannot starve.
 //
 // Batching is work-conserving and burst-aware. Each lane remembers the mean
-// arrival gap of its previous batch (zero after a single-request batch).
-// After the first extract, pop_batch keeps collecting for the same lane
-// only while that gap is non-zero, the batch is below max_batch, the queue
-// is open and no other lane has queued work; each wait lasts at most twice
-// the remembered gap, and the first wait in which nothing arrives ends the
-// batch. A lone request on a quiet lane is therefore popped at once, while
-// a round of back-to-back latents from one producer still leaves as one
-// batch.
+// arrival gap of its previous batch (zero after a single-request batch) and
+// the service time of its last batch the consumer reported as served
+// (batch_served). After the first extract, pop_batch lingers for more of
+// the same lane only when that gap is non-zero and max_batch of them fit
+// in the service time: at that rate a whole batch arrives while the
+// consumer would still be busy had it served the batch at once, whereas a
+// trickle would add head-of-line wait for a batch of two or three. It
+// keeps collecting while the batch is below max_batch, the queue is open
+// and no other lane has queued work; each wait lasts at most twice the
+// remembered gap, the first wait in which nothing arrives ends the batch,
+// and the whole linger never exceeds the service time, so a steady stream
+// cannot hold a batch open. A lone request on a quiet lane is therefore
+// popped at once, while a round of back-to-back latents from one producer
+// still leaves as one batch.
 #pragma once
 
 #include <chrono>
@@ -71,6 +77,14 @@ class BatchQueue {
   /// request's popped_at is stamped as the batch leaves, after any linger.
   std::vector<PendingRequest> pop_batch();
 
+  /// Reports that the consumer has finished serving the batch pop_batch
+  /// returned for `cluster` with the given popped_at stamp; the time since
+  /// then becomes the lane's service time, which bounds its next linger.
+  /// Ignored unless that batch is still the lane's latest (not after a
+  /// newer pop, nor on a lane erased and recreated since).
+  void batch_served(ClusterId cluster,
+                    std::chrono::steady_clock::time_point popped_at);
+
   /// Stops intake and wakes consumers; queued requests remain poppable so a
   /// graceful shutdown can drain in-flight work.
   void close();
@@ -104,13 +118,24 @@ class BatchQueue {
   struct Lane {
     TenantPolicy policy;
     std::deque<Entry> entries;
+    /// Unique per lane ever created: tells a lane recreated under the same
+    /// cluster id (after erase_lane) from the one a linger started on.
+    std::uint64_t generation = 0;
     /// Mean arrival gap of the lane's previous batch; zero when it held a
     /// single request (or the lane has not been popped yet).
     std::chrono::steady_clock::duration burst_gap{};
+    /// popped_at stamp of the lane's latest batch, and how long the last
+    /// batch reported through batch_served took to serve (zero until then).
+    std::chrono::steady_clock::time_point popped_at;
+    std::chrono::steady_clock::duration service{};
   };
 
   /// Creates the lane with the default policy if new.
   Lane& lane_for(ClusterId cluster) ORCO_REQUIRES(mu_);
+  /// The lane for `cluster` if it is still the one created as
+  /// `generation`, else null.
+  Lane* find_lane(ClusterId cluster, std::uint64_t generation)
+      ORCO_REQUIRES(mu_);
   /// Picks the non-empty lane with the highest aged score. At least one
   /// lane must be non-empty.
   ClusterId pick_cluster() const ORCO_REQUIRES(mu_);
@@ -125,6 +150,7 @@ class BatchQueue {
   std::map<ClusterId, Lane> lanes_ ORCO_GUARDED_BY(mu_);
   std::size_t total_ ORCO_GUARDED_BY(mu_) = 0;
   std::uint64_t next_seq_ ORCO_GUARDED_BY(mu_) = 0;
+  std::uint64_t next_generation_ ORCO_GUARDED_BY(mu_) = 0;
   bool closed_ ORCO_GUARDED_BY(mu_) = false;
 };
 

@@ -139,6 +139,8 @@ void ClusterShard::run() {
   for (;;) {
     std::vector<PendingRequest> batch = queue_.pop_batch();
     if (batch.empty()) return;  // closed and drained
+    const ClusterId cluster = batch.front().request.cluster;
+    const auto popped_at = batch.front().popped_at;
     try {
       serve_batch(std::move(batch));
     } catch (const std::exception& e) {
@@ -147,6 +149,8 @@ void ClusterShard::run() {
       // must not kill the shard worker — it keeps serving.
       ORCO_LOG_ERROR("shard " << index_ << " dropped a batch: " << e.what());
     }
+    // The serve time bounds how long the lane's next batch may linger.
+    queue_.batch_served(cluster, popped_at);
   }
 }
 

@@ -6,6 +6,7 @@
 // graceful shutdown.
 #include <gtest/gtest.h>
 
+#include <algorithm>
 #include <atomic>
 #include <chrono>
 #include <mutex>
@@ -53,22 +54,32 @@ void push_request(BatchQueue& queue, ClusterId cluster, RequestId id) {
   PendingRequest p;
   p.request.cluster = cluster;
   p.request.id = id;
+  p.request.enqueued_at = std::chrono::steady_clock::now();
   ASSERT_EQ(queue.push(std::move(p)), PushResult::kAccepted);
 }
 
-/// Arrival gap of a spaced prior burst: the lane's next batch lingers up to
-/// twice this for more of the lane.
+/// A spaced prior burst: the lane's next batch lingers up to twice the gap
+/// for each further request of the lane, within one service time. A lane
+/// lingers only when max_batch gaps fit in its service time, so the tests
+/// that use these run with kSpacedMaxBatch.
 constexpr std::chrono::milliseconds kSpacedGap{200};
+constexpr std::chrono::milliseconds kSpacedService{500};
+constexpr std::size_t kSpacedMaxBatch = 2;
 
-/// Gives `cluster`'s lane a remembered arrival gap of about `gap`: two
-/// requests pushed `gap` apart, with no consumer running, leave as one
-/// batch.
-void prime_burst_gap(BatchQueue& queue, ClusterId cluster,
-                     std::chrono::milliseconds gap) {
+/// Gives `cluster`'s lane a remembered arrival gap of about `gap` and a
+/// service time of about `service`: two requests pushed `gap` apart, with
+/// no consumer running, leave as one batch, reported served `service`
+/// after it was popped.
+void prime_burst(BatchQueue& queue, ClusterId cluster,
+                 std::chrono::milliseconds gap = kSpacedGap,
+                 std::chrono::milliseconds service = kSpacedService) {
   push_request(queue, cluster, 1000);
   std::this_thread::sleep_for(gap);
   push_request(queue, cluster, 1001);
-  ASSERT_EQ(queue.pop_batch().size(), 2u);
+  const auto batch = queue.pop_batch();
+  ASSERT_EQ(batch.size(), 2u);
+  std::this_thread::sleep_for(service);
+  queue.batch_served(cluster, batch.front().popped_at);
 }
 
 TEST(ShardRoutingTest, SameClusterAlwaysSameShard) {
@@ -254,19 +265,13 @@ TEST(BatchQueueTest, HighPriorityPushEvictsNewestLowPriorityAtCapacity) {
 
 TEST(BatchQueueTest, CloseDuringLingerDrainsPartialBatches) {
   BatchQueueConfig cfg;
-  cfg.max_batch = 8;
+  cfg.max_batch = kSpacedMaxBatch;
   BatchQueue queue(cfg);
   // Lane 2's previous batch was a spaced burst, so its next batch lingers
   // up to ~400 ms for more of it.
-  prime_burst_gap(queue, 2, kSpacedGap);
-  auto push = [&](ClusterId cluster, RequestId id) {
-    PendingRequest p;
-    p.request.cluster = cluster;
-    p.request.id = id;
-    ASSERT_EQ(queue.push(std::move(p)), PushResult::kAccepted);
-  };
-  push(1, 10);
-  push(2, 20);
+  prime_burst(queue, 2);
+  push_request(queue, 1, 10);
+  push_request(queue, 2, 20);
 
   std::vector<std::size_t> batch_sizes;
   const auto t0 = std::chrono::steady_clock::now();
@@ -298,16 +303,10 @@ TEST(BatchQueueTest, PushWakesSecondConsumerDuringLinger) {
   // on consumer 1). A push for cluster 2 must still be extracted promptly
   // instead of stalling until consumer 1's linger runs out.
   BatchQueueConfig cfg;
-  cfg.max_batch = 8;
+  cfg.max_batch = kSpacedMaxBatch;
   BatchQueue queue(cfg);
   // Cluster 1's next batch lingers up to ~400 ms.
-  prime_burst_gap(queue, 1, kSpacedGap);
-  auto push = [&](ClusterId cluster, RequestId id) {
-    PendingRequest p;
-    p.request.cluster = cluster;
-    p.request.id = id;
-    ASSERT_EQ(queue.push(std::move(p)), PushResult::kAccepted);
-  };
+  prime_burst(queue, 1);
 
   auto consume = [&] {
     for (;;) {
@@ -315,14 +314,14 @@ TEST(BatchQueueTest, PushWakesSecondConsumerDuringLinger) {
     }
   };
 
-  push(1, 10);
+  push_request(queue, 1, 10);
   std::thread c1(consume);  // grabs cluster 1, lingers for more of it
   std::this_thread::sleep_for(std::chrono::milliseconds(80));
   std::thread c2(consume);  // arrives at the top-level wait second
   std::this_thread::sleep_for(std::chrono::milliseconds(40));
 
   const auto push_b_at = std::chrono::steady_clock::now();
-  push(2, 20);
+  push_request(queue, 2, 20);
   // Poll until cluster 2's request leaves the queue: it must go within
   // milliseconds of the push, not after consumer 1's ~400 ms linger.
   const auto deadline =
@@ -355,12 +354,32 @@ TEST(BatchQueueTest, LoneRequestWithoutBurstHistoryPopsAtOnce) {
 
   // Nor does a lane whose previous batch, after a spaced burst, held a
   // single request: that batch reset the remembered gap to zero.
-  prime_burst_gap(queue, 2, kSpacedGap);
+  prime_burst(queue, 2);
   push_request(queue, 2, 20);
   push_request(queue, 3, 30);  // other work: lane 2's batch cannot linger
   ASSERT_EQ(queue.pop_batch().size(), 1u);
   ASSERT_EQ(queue.pop_batch().size(), 1u);
   push_request(queue, 2, 21);
+  t0 = std::chrono::steady_clock::now();
+  ASSERT_EQ(queue.pop_batch().size(), 1u);
+  EXPECT_LT(ms_since(t0), 50.0);
+
+  // Nor a lane whose requests came too slowly to fill a batch within its
+  // service time (8 x 100 ms > 150 ms): lingering would hold the head for
+  // a batch of two.
+  prime_burst(queue, 4, std::chrono::milliseconds(100),
+              std::chrono::milliseconds(150));
+  push_request(queue, 4, 40);
+  t0 = std::chrono::steady_clock::now();
+  ASSERT_EQ(queue.pop_batch().size(), 1u);
+  EXPECT_LT(ms_since(t0), 50.0);
+
+  // Nor a lane whose burst was never reported served.
+  push_request(queue, 5, 50);
+  std::this_thread::sleep_for(std::chrono::milliseconds(100));
+  push_request(queue, 5, 51);
+  ASSERT_EQ(queue.pop_batch().size(), 2u);
+  push_request(queue, 5, 52);
   t0 = std::chrono::steady_clock::now();
   ASSERT_EQ(queue.pop_batch().size(), 1u);
   EXPECT_LT(ms_since(t0), 50.0);
@@ -373,7 +392,8 @@ TEST(BatchQueueTest, BackToBackBurstFromOneProducerLeavesAsOneBatch) {
   BatchQueueConfig cfg;
   cfg.max_batch = 32;
   BatchQueue queue(cfg);
-  prime_burst_gap(queue, 1, std::chrono::milliseconds(20));
+  prime_burst(queue, 1, std::chrono::milliseconds(3),
+              std::chrono::milliseconds(200));  // 32 x 3 ms fit in 200 ms
 
   std::vector<std::size_t> batch_sizes;
   std::thread consumer([&] {
@@ -407,9 +427,9 @@ TEST(BatchQueueTest, PushToAnotherLaneEndsLingerPromptly) {
   // One consumer, lingering for more of cluster 1: work for cluster 2 must
   // not sit behind that linger.
   BatchQueueConfig cfg;
-  cfg.max_batch = 8;
+  cfg.max_batch = kSpacedMaxBatch;
   BatchQueue queue(cfg);
-  prime_burst_gap(queue, 1, kSpacedGap);  // cluster 1 lingers up to ~400 ms
+  prime_burst(queue, 1);  // cluster 1 lingers up to ~400 ms
   push_request(queue, 1, 10);
 
   std::vector<std::pair<ClusterId, double>> popped;  // cluster, ms after push
@@ -445,21 +465,62 @@ TEST(BatchQueueTest, PushToAnotherLaneEndsLingerPromptly) {
 
 TEST(BatchQueueTest, EraseLaneClearsBurstHistory) {
   BatchQueueConfig cfg;
-  cfg.max_batch = 8;
+  cfg.max_batch = kSpacedMaxBatch;
   BatchQueue queue(cfg);
-  prime_burst_gap(queue, 1, kSpacedGap);  // would linger up to ~400 ms
+  prime_burst(queue, 1);  // would linger up to ~400 ms
   ASSERT_TRUE(queue.erase_lane(1));
   push_request(queue, 1, 10);  // a new lane, with no history
-  const auto t0 = std::chrono::steady_clock::now();
+  auto t0 = std::chrono::steady_clock::now();
   ASSERT_EQ(queue.pop_batch().size(), 1u);
   EXPECT_LT(ms_since(t0), 50.0);
+
+  // Erased and recreated while a consumer lingers on it: the new tenant's
+  // request neither joins the old tenant's batch nor inherits its history.
+  prime_burst(queue, 2);  // lingers up to ~400 ms
+  push_request(queue, 2, 20);
+  std::vector<std::vector<RequestId>> batches;
+  std::vector<double> head_wait_ms;
+  std::thread consumer([&] {
+    for (;;) {
+      auto batch = queue.pop_batch();
+      if (batch.empty()) return;
+      std::vector<RequestId> ids;
+      for (const PendingRequest& p : batch) ids.push_back(p.request.id);
+      batches.push_back(std::move(ids));
+      head_wait_ms.push_back(std::chrono::duration<double, std::milli>(
+                                 batch.front().popped_at -
+                                 batch.front().request.enqueued_at)
+                                 .count());
+    }
+  });
+  std::this_thread::sleep_for(std::chrono::milliseconds(50));  // lingering
+  ASSERT_TRUE(queue.erase_lane(2));
+  push_request(queue, 2, 21);  // the recreated lane
+  const auto deadline =
+      std::chrono::steady_clock::now() + std::chrono::seconds(2);
+  while (queue.size() > 0 && std::chrono::steady_clock::now() < deadline) {
+    std::this_thread::sleep_for(std::chrono::milliseconds(1));
+  }
+  push_request(queue, 2, 22);
+  while (queue.size() > 0 && std::chrono::steady_clock::now() < deadline) {
+    std::this_thread::sleep_for(std::chrono::milliseconds(1));
+  }
+  queue.close();
+  consumer.join();
+  const std::vector<std::vector<RequestId>> expected = {{20}, {21}, {22}};
+  ASSERT_EQ(batches, expected);
+  EXPECT_LT(head_wait_ms[0], 150.0);  // the linger ended at 21's push
+  EXPECT_LT(head_wait_ms[1], 50.0);
+  // Had the recreated lane inherited a gap (21 came ~50 ms after 20), 22
+  // would linger up to ~100 ms.
+  EXPECT_LT(head_wait_ms[2], 50.0);
 }
 
 TEST(BatchQueueTest, CloseCutsLingerShort) {
   BatchQueueConfig cfg;
-  cfg.max_batch = 8;
+  cfg.max_batch = kSpacedMaxBatch;
   BatchQueue queue(cfg);
-  prime_burst_gap(queue, 1, kSpacedGap);  // lingers up to ~400 ms
+  prime_burst(queue, 1);  // lingers up to ~400 ms
   push_request(queue, 1, 10);
   const auto t0 = std::chrono::steady_clock::now();
   std::size_t batch_size = 0;
@@ -475,6 +536,53 @@ TEST(BatchQueueTest, CloseCutsLingerShort) {
   EXPECT_GE(popped_after_ms, 40.0);  // it did linger until the close
   EXPECT_LT(popped_after_ms, 150.0);
   EXPECT_TRUE(queue.pop_batch().empty());
+}
+
+TEST(BatchQueueTest, SteadyStreamCannotHoldABatchOpen) {
+  // One producer pushing steadily, each request within twice the lane's
+  // remembered gap, so no single wait ever runs out. The whole linger is
+  // bounded by the lane's service time: the first batch leaves after
+  // ~180 ms, before it fills. Once a served batch shows the consumer free
+  // long before the next arrival, requests leave without lingering.
+  BatchQueueConfig cfg;
+  cfg.max_batch = 16;
+  BatchQueue queue(cfg);
+  // 16 x 10 ms fit in 180 ms, so the next batch lingers.
+  prime_burst(queue, 1, std::chrono::milliseconds(10),
+              std::chrono::milliseconds(180));
+
+  std::vector<std::size_t> sizes;
+  std::vector<double> head_wait_ms;
+  std::thread consumer([&] {
+    for (;;) {
+      auto batch = queue.pop_batch();
+      if (batch.empty()) return;
+      sizes.push_back(batch.size());
+      head_wait_ms.push_back(std::chrono::duration<double, std::milli>(
+                                 batch.front().popped_at -
+                                 batch.front().request.enqueued_at)
+                                 .count());
+      std::this_thread::sleep_for(std::chrono::milliseconds(1));  // serve
+      queue.batch_served(1, batch.front().popped_at);
+    }
+  });
+  for (RequestId id = 0; id < 30; ++id) {
+    push_request(queue, 1, id);
+    std::this_thread::sleep_for(std::chrono::milliseconds(15));
+  }
+  queue.close();
+  consumer.join();
+
+  // Unbounded, the first batch would fill all 16 slots after ~225 ms, and
+  // so would every batch after it.
+  ASSERT_GE(sizes.size(), 10u);
+  EXPECT_LT(sizes.front(), cfg.max_batch);
+  for (std::size_t i = 0; i < sizes.size(); ++i) {
+    EXPECT_LT(head_wait_ms[i], 200.0) << "batch " << i;
+  }
+  std::vector<double> later(head_wait_ms.begin() + 1, head_wait_ms.end());
+  std::sort(later.begin(), later.end());
+  EXPECT_LT(later[later.size() / 2], 5.0);  // median: no linger
 }
 
 TEST(ServeTest, BatchedDecodeBitwiseEqualsSequentialDecode) {
@@ -525,35 +633,49 @@ TEST(ServeTest, BatchedDecodeBitwiseEqualsSequentialDecode) {
 TEST(ServeTest, LingeredBatchStagesAddUpToItsLatency) {
   // Queue wait runs until the batch leaves the queue, after any linger, so
   // a lingered request's stages (queue wait + assembly + decode + respond)
-  // account for its whole end-to-end latency.
-  ServeConfig cfg;
-  cfg.shard_count = 1;
-  ServerRuntime runtime(cfg);
-  runtime.register_cluster(1, make_tenant());
-
-  // Two requests 100 ms apart, queued before start(), leave as one batch:
-  // the lane now remembers a 100 ms arrival gap.
+  // account for its whole end-to-end latency. The test plays the shard
+  // worker, so the lane's service time is whatever it reports.
+  Telemetry telemetry;
+  BatchQueueConfig queue_config;
+  queue_config.max_batch = 2;  // 2 x 100 ms fit in the 300 ms below
+  ClusterShard shard(0, queue_config, &telemetry);
+  shard.add_cluster(1, make_tenant());
+  BatchQueue& queue = shard.queue();
   common::Pcg32 rng(31);
-  auto first = runtime.submit(1, random_latent(16, rng));
+  RequestId next_id = 0;
+  auto submit = [&] {
+    PendingRequest p;
+    p.request.cluster = 1;
+    p.request.id = next_id++;
+    p.request.latent = random_latent(16, rng);
+    p.request.enqueued_at = std::chrono::steady_clock::now();
+    auto future = p.promise.get_future();
+    EXPECT_EQ(queue.push(std::move(p)), PushResult::kAccepted);
+    return future;
+  };
+
+  // Two requests 100 ms apart leave as one batch, reported served 300 ms
+  // after it was popped: the lane remembers a 100 ms arrival gap and a
+  // 300 ms service time.
+  auto first = submit();
   std::this_thread::sleep_for(std::chrono::milliseconds(100));
-  auto second = runtime.submit(1, random_latent(16, rng));
-  runtime.start();
+  auto second = submit();
+  std::vector<PendingRequest> burst = queue.pop_batch();
+  ASSERT_EQ(burst.size(), 2u);
+  const auto burst_popped_at = burst.front().popped_at;
+  shard.serve_batch(std::move(burst));
   EXPECT_EQ(first.get().batch_size, 2u);
   EXPECT_EQ(second.get().batch_size, 2u);
-  // The respond stage is recorded after the promises resolve.
-  const auto respond = static_cast<std::size_t>(Telemetry::Stage::kRespond);
-  const auto deadline =
-      std::chrono::steady_clock::now() + std::chrono::seconds(2);
-  while (runtime.telemetry().stage_snapshot(1)[respond].requests < 2 &&
-         std::chrono::steady_clock::now() < deadline) {
-    std::this_thread::sleep_for(std::chrono::milliseconds(1));
-  }
-  const auto before = runtime.telemetry().stage_snapshot(1);
+  std::this_thread::sleep_until(burst_popped_at +
+                                std::chrono::milliseconds(300));
+  queue.batch_served(1, burst_popped_at);
+  const auto before = telemetry.stage_snapshot(1);
 
   // A lone request now lingers up to 200 ms for more of its lane.
-  const DecodeResponse lone = runtime.submit(1, random_latent(16, rng)).get();
-  runtime.shutdown();  // joins the worker: every stage is recorded
-  const auto after = runtime.telemetry().stage_snapshot(1);
+  auto lone_future = submit();
+  shard.serve_batch(queue.pop_batch());  // records every stage
+  const DecodeResponse lone = lone_future.get();
+  const auto after = telemetry.stage_snapshot(1);
   ASSERT_EQ(lone.status, ResponseStatus::kOk);
   EXPECT_EQ(lone.batch_size, 1u);
   EXPECT_GT(lone.latency_us, 150000.0);  // it did linger
