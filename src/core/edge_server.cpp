@@ -22,10 +22,6 @@ EdgeServer::EdgeServer(std::unique_ptr<nn::Sequential> decoder,
   optimizer_ = std::make_unique<nn::Sgd>(decoder_->params(),
                                          config.learning_rate,
                                          config.momentum);
-  // Steady-state decode reuses backend-packed decoder weights; train_step
-  // invalidates the cache after each optimizer step, so decodes between
-  // rounds never see stale panels.
-  if (config.prepack_decoder) decoder_->set_weight_prepack(true);
 }
 
 ReconstructionMsg EdgeServer::reconstruct(const LatentBatchMsg& msg,
@@ -85,10 +81,9 @@ LatentGradMsg EdgeServer::train_step(const ResidualMsg& msg) {
   Tensor latent_grad = decoder_->backward(grad);
   optimizer_->step();
   // The step mutated the decoder weights through ParamView pointers the
-  // layers cannot observe: drop every cached weight pack and advance the
-  // decoder generation (release-ordered so a reader that sees the new
-  // version also sees the invalidated cache).
-  decoder_->invalidate_weight_cache();
+  // layers cannot observe: advance every layer's weight version (so
+  // current_plan() recompiles) and the decoder generation.
+  decoder_->mark_weights_changed();
   model_version_.fetch_add(1, std::memory_order_acq_rel);
   round_open_ = false;
   return LatentGradMsg{msg.round, loss, std::move(latent_grad)};

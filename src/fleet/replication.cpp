@@ -162,7 +162,7 @@ void load_image(nn::Sequential& model, const SnapshotImage& image) {
                 "data size mismatch for " << name);
     std::copy(data.begin(), data.end(), params[i].value->data().begin());
   }
-  model.invalidate_weight_cache();
+  model.mark_weights_changed();
 }
 
 }  // namespace orco::fleet

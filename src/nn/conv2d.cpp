@@ -37,22 +37,18 @@ void Conv2d::infer_into(const Tensor& input, Tensor& out,
 void Conv2d::infer_fused_into(const Tensor& input, Tensor& out,
                               tensor::EpilogueAct act, float leaky_alpha,
                               InferContext& ctx) const {
-  std::shared_ptr<const tensor::PackedWeights> packed;
-  if (prepack_) packed = packed_weights();
-  fused_into_impl(input, out, packed.get(), tensor::current_backend(), act,
-                  leaky_alpha, ctx);
+  fused_into_impl(input, out, nullptr, act, leaky_alpha, ctx);
 }
 
 void Conv2d::infer_packed_into(const Tensor& input, Tensor& out,
                                const tensor::PackedWeights& packed,
                                tensor::EpilogueAct act, float leaky_alpha,
                                InferContext& ctx) const {
-  fused_into_impl(input, out, &packed, *packed.owner, act, leaky_alpha, ctx);
+  fused_into_impl(input, out, &packed, act, leaky_alpha, ctx);
 }
 
 void Conv2d::fused_into_impl(const Tensor& input, Tensor& out,
                              const tensor::PackedWeights* packed,
-                             const tensor::Backend& backend,
                              tensor::EpilogueAct act, float leaky_alpha,
                              InferContext& ctx) const {
   const std::size_t in_feats = geom_.in_channels * geom_.in_h * geom_.in_w;
@@ -79,6 +75,8 @@ void Conv2d::fused_into_impl(const Tensor& input, Tensor& out,
   const std::size_t col_floats = col_rows * spatial;
   float* cols = ctx.scratch().alloc(col_floats);
   const std::uint64_t flops = 2ull * out_channels_ * col_rows * spatial;
+  const tensor::Backend& backend =
+      packed != nullptr ? *packed->owner : tensor::current_backend();
   for (std::size_t s = 0; s < batch; ++s) {
     {
       OBS_SCOPED_SPAN(obs::KernelOp::kIm2col, 0);
@@ -97,25 +95,12 @@ void Conv2d::fused_into_impl(const Tensor& input, Tensor& out,
   }
 }
 
-std::shared_ptr<const tensor::PackedWeights> Conv2d::packed_weights() const {
-  std::uint64_t version = 0;
-  return plan_pack(tensor::current_backend(), version);
-}
-
 std::shared_ptr<const tensor::PackedWeights> Conv2d::plan_pack(
     const tensor::Backend& backend, std::uint64_t& version_out) const {
-  const std::uint64_t version =
-      weight_version_.load(std::memory_order_acquire);
-  version_out = version;
-  common::MutexLock lock(pack_mu_);
-  if (packed_ == nullptr || packed_->owner != &backend ||
-      packed_version_ != version) {
-    packed_ = std::make_shared<tensor::PackedWeights>(backend.pack_a(
-        w_.data().data(), out_channels_,
-        geom_.in_channels * geom_.kernel_h * geom_.kernel_w));
-    packed_version_ = version;
-  }
-  return packed_;
+  version_out = weight_version_.load(std::memory_order_acquire);
+  return std::make_shared<const tensor::PackedWeights>(backend.pack_a(
+      w_.data().data(), out_channels_,
+      geom_.in_channels * geom_.kernel_h * geom_.kernel_w));
 }
 
 Tensor Conv2d::backward(const Tensor& grad_output) {
@@ -146,8 +131,8 @@ Tensor Conv2d::backward(const Tensor& grad_output) {
 
 std::vector<ParamView> Conv2d::params() {
   // The views hand out mutable weight pointers (optimizers, model_io
-  // loading); conservatively drop any cached pack.
-  invalidate_weight_cache();
+  // loading); conservatively advance the weight version.
+  mark_weights_changed();
   return {{"weight", &w_, &gw_}, {"bias", &b_, &gb_}};
 }
 

@@ -26,6 +26,25 @@ Tensor Dense::forward(const Tensor& input, bool /*training*/) {
   return infer(input);
 }
 
+std::size_t Dense::prepare_out(const Tensor& input, Tensor& out) const {
+  ORCO_CHECK(input.rank() == 2 && input.dim(1) == in_,
+             "Dense expects (batch, " << in_ << "), got "
+                                      << tensor::shape_to_string(input.shape()));
+  ORCO_CHECK(&out != &input, "Dense cannot infer in place");
+  out.resize(input.dim(0), out_);
+  return input.dim(0);
+}
+
+tensor::Epilogue Dense::bias_epilogue(tensor::EpilogueAct act,
+                                      float leaky_alpha) const {
+  tensor::Epilogue epi;
+  epi.bias = b_.data().data();
+  epi.bias_per_row = false;
+  epi.act = act;
+  epi.leaky_alpha = leaky_alpha;
+  return epi;
+}
+
 void Dense::infer_into(const Tensor& input, Tensor& out,
                        InferContext& ctx) const {
   infer_fused_into(input, out, tensor::EpilogueAct::kNone, 0.01f, ctx);
@@ -34,57 +53,21 @@ void Dense::infer_into(const Tensor& input, Tensor& out,
 void Dense::infer_fused_into(const Tensor& input, Tensor& out,
                              tensor::EpilogueAct act, float leaky_alpha,
                              InferContext& /*ctx*/) const {
-  ORCO_CHECK(input.rank() == 2 && input.dim(1) == in_,
-             "Dense expects (batch, " << in_ << "), got "
-                                      << tensor::shape_to_string(input.shape()));
-  ORCO_CHECK(&out != &input, "Dense cannot infer in place");
-  const std::size_t batch = input.dim(0);
-  out.resize(batch, out_);
-  tensor::Epilogue epi;
-  epi.bias = b_.data().data();
-  epi.bias_per_row = false;
-  epi.act = act;
-  epi.leaky_alpha = leaky_alpha;
-  const tensor::Backend& backend = tensor::current_backend();
-  const std::uint64_t flops = 2ull * batch * in_ * out_;
-  if (prepack_) {
-    const auto packed = packed_weights();
-    OBS_SCOPED_SPAN(obs::KernelOp::kGemmPrepacked, flops);
-    backend.gemm_prepacked(input.data().data(), *packed, out.data().data(),
-                           batch, in_, out_, epi);  // (B, out)
-    return;
-  }
+  const std::size_t batch = prepare_out(input, out);
+  const tensor::Epilogue epi = bias_epilogue(act, leaky_alpha);
   // y = x·Wᵀ with W stored (out, in): W is the transposed-B operand.
-  OBS_SCOPED_SPAN(obs::KernelOp::kGemmFused, flops);
-  backend.gemm_fused(input.data().data(), w_.data().data(), out.data().data(),
-                     batch, in_, out_, /*transpose_b=*/true, epi);  // (B, out)
-}
-
-void Dense::infer_quantized_into(const std::uint8_t* codes,
-                                 const tensor::QuantHeader& qh,
-                                 std::size_t batch, Tensor& out,
-                                 tensor::EpilogueAct act, float leaky_alpha,
-                                 InferContext& /*ctx*/) const {
-  const auto packed = packed_weights();
-  infer_quantized_packed_into(codes, qh, batch, out, *packed, act,
-                              leaky_alpha);
+  OBS_SCOPED_SPAN(obs::KernelOp::kGemmFused, 2ull * batch * in_ * out_);
+  tensor::current_backend().gemm_fused(input.data().data(), w_.data().data(),
+                                       out.data().data(), batch, in_, out_,
+                                       /*transpose_b=*/true, epi);  // (B, out)
 }
 
 void Dense::infer_packed_into(const Tensor& input, Tensor& out,
                               const tensor::PackedWeights& packed,
                               tensor::EpilogueAct act,
                               float leaky_alpha) const {
-  ORCO_CHECK(input.rank() == 2 && input.dim(1) == in_,
-             "Dense expects (batch, " << in_ << "), got "
-                                      << tensor::shape_to_string(input.shape()));
-  ORCO_CHECK(&out != &input, "Dense cannot infer in place");
-  const std::size_t batch = input.dim(0);
-  out.resize(batch, out_);
-  tensor::Epilogue epi;
-  epi.bias = b_.data().data();
-  epi.bias_per_row = false;
-  epi.act = act;
-  epi.leaky_alpha = leaky_alpha;
+  const std::size_t batch = prepare_out(input, out);
+  const tensor::Epilogue epi = bias_epilogue(act, leaky_alpha);
   OBS_SCOPED_SPAN(obs::KernelOp::kGemmPrepacked, 2ull * batch * in_ * out_);
   packed.owner->gemm_prepacked(input.data().data(), packed, out.data().data(),
                                batch, in_, out_, epi);
@@ -98,13 +81,9 @@ void Dense::infer_quantized_packed_into(const std::uint8_t* codes,
                                         float leaky_alpha) const {
   ORCO_CHECK(codes != nullptr && qh.row_lo != nullptr &&
                  qh.row_scale != nullptr,
-             "infer_quantized_into needs codes and per-row headers");
+             "quantized decode needs codes and per-row headers");
   out.resize(batch, out_);
-  tensor::Epilogue epi;
-  epi.bias = b_.data().data();
-  epi.bias_per_row = false;
-  epi.act = act;
-  epi.leaky_alpha = leaky_alpha;
+  const tensor::Epilogue epi = bias_epilogue(act, leaky_alpha);
   OBS_SCOPED_SPAN(obs::KernelOp::kGemmQuantized, 2ull * batch * in_ * out_);
   packed.owner->gemm_quantized(codes, qh, packed, out.data().data(), batch,
                                in_, out_, epi);
@@ -112,23 +91,10 @@ void Dense::infer_quantized_packed_into(const std::uint8_t* codes,
 
 std::shared_ptr<const tensor::PackedWeights> Dense::plan_pack(
     const tensor::Backend& backend, std::uint64_t& version_out) const {
-  const std::uint64_t version =
-      weight_version_.load(std::memory_order_acquire);
-  version_out = version;
-  common::MutexLock lock(pack_mu_);
-  if (packed_ == nullptr || packed_->owner != &backend ||
-      packed_version_ != version) {
-    // y = x·Wᵀ with W stored (out, in): W is the transposed-B operand.
-    packed_ = std::make_shared<tensor::PackedWeights>(
-        backend.pack_b(w_.data().data(), in_, out_, /*transpose_b=*/true));
-    packed_version_ = version;
-  }
-  return packed_;
-}
-
-std::shared_ptr<const tensor::PackedWeights> Dense::packed_weights() const {
-  std::uint64_t version = 0;
-  return plan_pack(tensor::current_backend(), version);
+  version_out = weight_version_.load(std::memory_order_acquire);
+  // y = x·Wᵀ with W stored (out, in): W is the transposed-B operand.
+  return std::make_shared<const tensor::PackedWeights>(
+      backend.pack_b(w_.data().data(), in_, out_, /*transpose_b=*/true));
 }
 
 Tensor Dense::backward(const Tensor& grad_output) {
@@ -146,8 +112,8 @@ Tensor Dense::backward(const Tensor& grad_output) {
 
 std::vector<ParamView> Dense::params() {
   // The views hand out mutable weight pointers (optimizers, model_io
-  // loading); conservatively drop any cached pack.
-  invalidate_weight_cache();
+  // loading); conservatively advance the weight version.
+  mark_weights_changed();
   return {{"weight", &w_, &gw_}, {"bias", &b_, &gb_}};
 }
 

@@ -38,10 +38,9 @@ std::shared_ptr<const InferPlan> InferPlan::compile(
   auto plan = std::shared_ptr<InferPlan>(new InferPlan());
   plan->backend_ = &be;
   const std::vector<const Layer*>& chain = model.inference_chain();
-  // Identical walk to Sequential::run_chain: skip identity layers, fuse a
-  // following elementwise activation into the producing op. Matching the
-  // walk exactly is what makes run() trivially bitwise-identical — the
-  // plan issues the same kernel calls in the same order.
+  // Skip identity layers and fuse a following elementwise activation into
+  // the producing op's epilogue (backward needs the pre-activation, so the
+  // training forward() stays unfused).
   for (std::size_t i = 0; i < chain.size(); ++i) {
     if (chain[i]->infer_is_identity()) continue;
     PlanOp op;
@@ -86,16 +85,27 @@ void InferPlan::run(const Tensor& input, Tensor& out,
     std::copy(input.data().begin(), input.data().end(), out.data().begin());
     return;
   }
+  prepare(out, ctx);
+  run_ops(&input, 0, out, ctx);
+}
+
+void InferPlan::prepare(const Tensor& out, InferContext& ctx) const {
   ORCO_CHECK(!ctx.owns(out) || ops_.size() == 1,
-             "InferPlan::run output may not alias a context buffer: a "
-             "multi-op plan needs both buffers for intermediates");
+             "InferPlan output may not alias a context buffer: a multi-op "
+             "plan needs both buffers for intermediates");
   // Reserve the precomputed high-water once; subsequent runs find the
   // arena already sized and never touch the allocator.
   if (ctx.scratch().used() == 0 &&
       ctx.scratch().capacity() < scratch_floats_) {
     ctx.scratch().reserve(scratch_floats_);
   }
-  run_ops(&input, 0, out, ctx);
+}
+
+void InferPlan::record_op(std::size_t i, std::uint64_t t0) const {
+  obs::OpTimer& timer = timers_[i];
+  timer.ns.fetch_add(obs::KernelTimer::now_ns() - t0,
+                     std::memory_order_relaxed);
+  timer.calls.fetch_add(1, std::memory_order_relaxed);
 }
 
 void InferPlan::run_ops(const Tensor* cur, std::size_t start, Tensor& out,
@@ -110,8 +120,7 @@ void InferPlan::run_ops(const Tensor* cur, std::size_t start, Tensor& out,
     Tensor& dst = (i + 1 == n) ? out : ctx.other_than(*cur);
     const std::uint64_t t0 = profile ? obs::KernelTimer::now_ns() : 0;
     if (op.packed != nullptr && op.packed->owner == &be) {
-      // Pre-attached panels, valid for the executing backend: the direct
-      // packed entries skip the per-call prepack-cache probe entirely.
+      // Pre-attached panels, valid for the executing backend.
       if (op.dense != nullptr) {
         op.dense->infer_packed_into(*cur, dst, *op.packed, op.act,
                                     op.leaky_alpha);
@@ -121,18 +130,13 @@ void InferPlan::run_ops(const Tensor* cur, std::size_t start, Tensor& out,
       }
     } else if (op.fused) {
       // Backend differs from the compile backend (a BackendScope override)
-      // or the layer has no packable weight: same fused kernels Sequential
-      // issues.
+      // or the layer has no packable weight: the layer's own fused entry on
+      // the executing backend.
       op.layer->infer_fused_into(*cur, dst, op.act, op.leaky_alpha, ctx);
     } else {
       op.layer->infer_into(*cur, dst, ctx);
     }
-    if (profile) {
-      obs::OpTimer& timer = timers_[i];
-      timer.ns.fetch_add(obs::KernelTimer::now_ns() - t0,
-                         std::memory_order_relaxed);
-      timer.calls.fetch_add(1, std::memory_order_relaxed);
-    }
+    if (profile) record_op(i, t0);
     cur = &dst;
   }
   // ORCO_HOT_PATH END
@@ -146,7 +150,8 @@ void InferPlan::run_quantized(const std::uint8_t* codes,
                  qh.row_scale != nullptr,
              "run_quantized needs codes and per-row headers");
   // Dequantizes with the exact expression the fused kernel applies
-  // (x = lo + q*scale, single-float) — see Sequential::infer_quantized_into.
+  // (x = lo + q*scale, single-float), so both branches below see the same
+  // head-input values.
   const auto dequant_to = [&](Tensor& dst) {
     dst.resize(batch, features);
     for (std::size_t i = 0; i < batch; ++i) {
@@ -164,19 +169,16 @@ void InferPlan::run_quantized(const std::uint8_t* codes,
     dequant_to(out);
     return;
   }
-  ORCO_CHECK(!ctx.owns(out) || ops_.size() == 1,
-             "InferPlan::run_quantized output may not alias a context "
-             "buffer: a multi-op plan needs both buffers for intermediates");
-  if (ctx.scratch().used() == 0 &&
-      ctx.scratch().capacity() < scratch_floats_) {
-    ctx.scratch().reserve(scratch_floats_);
-  }
+  prepare(out, ctx);
   const PlanOp& head = ops_.front();
-  if (head.dense == nullptr) {
-    // No Dense head to feed codes into: dequantize into the context's
-    // input buffer and run the float plan.
-    dequant_to(ctx.input());
-    run_ops(&ctx.input(), 0, out, ctx);
+  if (head.dense == nullptr ||
+      head.packed->owner != &tensor::current_backend()) {
+    // No Dense head to feed codes into, or its panels belong to another
+    // backend than the scoped one: dequantize into a context buffer (the
+    // input buffer unless `out` is it) and run the float ops.
+    Tensor& floats = ctx.other_than(out);
+    dequant_to(floats);
+    run_ops(&floats, 0, out, ctx);
     return;
   }
   ORCO_CHECK(features == head.dense->in_features(),
@@ -189,23 +191,11 @@ void InferPlan::run_quantized(const std::uint8_t* codes,
   // the plan to ping-pong from.
   const bool last = ops_.size() == 1;
   Tensor& dst = last ? out : ctx.input();
-  const tensor::Backend& be = tensor::current_backend();
   const bool profile = obs::kernel_profiling_enabled();
   const std::uint64_t t0 = profile ? obs::KernelTimer::now_ns() : 0;
-  if (head.packed != nullptr && head.packed->owner == &be) {
-    head.dense->infer_quantized_packed_into(codes, qh, batch, dst,
-                                            *head.packed, head.act,
-                                            head.leaky_alpha);
-  } else {
-    head.dense->infer_quantized_into(codes, qh, batch, dst, head.act,
-                                     head.leaky_alpha, ctx);
-  }
-  if (profile) {
-    obs::OpTimer& timer = timers_[0];
-    timer.ns.fetch_add(obs::KernelTimer::now_ns() - t0,
-                       std::memory_order_relaxed);
-    timer.calls.fetch_add(1, std::memory_order_relaxed);
-  }
+  head.dense->infer_quantized_packed_into(codes, qh, batch, dst, *head.packed,
+                                          head.act, head.leaky_alpha);
+  if (profile) record_op(0, t0);
   if (!last) run_ops(&dst, 1, out, ctx);
 }
 

@@ -1,27 +1,25 @@
 // InferPlan — a compile-once, execute-many inference plan for a frozen
-// layer chain.
-//
-// Sequential::infer_into re-discovers the chain's structure on every call:
-// it walks nested containers, skips identity layers, peepholes the
-// layer+activation fusion, and probes each layer's prepack cache (a mutex
-// acquisition plus a version compare) per batch. For a serving decoder that
-// structure is frozen the moment a snapshot is published — so InferPlan
-// does all of it exactly once:
+// layer chain, and the only inference engine: Sequential::infer_into is
+// compile-and-run, every serving, training-eval and bench decode holds a
+// plan, and Dense/Conv2d::plan_pack is the only code that packs layer
+// weights. Compiling does all the structural work once:
 //
 //   * nested Sequential chains are flattened and identity layers dropped;
 //   * a following elementwise activation is fused into its producer op's
-//     kernel epilogue at compile time;
-//   * Dense/Conv2d weights are packed for the compile backend up front and
-//     pinned to the op — the executor never probes a cache, takes a lock,
-//     or checks a version;
+//     kernel epilogue;
+//   * Dense/Conv2d weights are packed for the compile backend into panels
+//     the plan alone owns, pinned to the op with the weight version they
+//     captured;
 //   * the exact context-arena high-water across the chain is precomputed,
 //     so the first run() reserves once and the arena never grows.
 //
-// run() is then a branch-light loop over the flat op list, bitwise
-// identical to Sequential::infer_into on every backend: fusion uses the
-// same peephole rule, prepacked GEMMs are bitwise-identical to their
-// unpacked equivalents (see tensor/backend.h), and buffer ping-pong only
-// changes where bytes live, never their values.
+// run() is then a branch-light loop over the flat op list, bitwise equal
+// to running each leaf's infer_into and applying the fused activation as a
+// separate sweep (tests/unfused_oracle.h) on every backend: prepacked GEMMs
+// are bitwise-identical to their unpacked equivalents (see
+// tensor/backend.h), the epilogue applies the same scalar activation as
+// tensor::apply_epilogue, and buffer ping-pong only changes where bytes
+// live, never their values.
 //
 // Compile triggers and sharing: ModelRegistry::publish compiles a plan per
 // snapshot version (under the snapshot's pinned backend) and stores it on
@@ -71,8 +69,8 @@ struct PlanOp {
   std::uint64_t packed_version = 0;
   tensor::EpilogueAct act = tensor::EpilogueAct::kNone;
   float leaky_alpha = 0.01f;
-  /// True when a following activation layer was folded into this op (the
-  /// Sequential peephole); false ops run plain infer_into.
+  /// True when a following activation layer was folded into this op;
+  /// false ops run plain infer_into.
   bool fused = false;
   /// Index into the flattened source chain, for diagnostics.
   std::size_t source_index = 0;
@@ -93,8 +91,9 @@ class InferPlan {
   InferPlan& operator=(const InferPlan&) = delete;
 
   /// Executes the plan: `input` ping-pongs through the context buffers and
-  /// the final op writes `out`. Bitwise identical to
-  /// Sequential::infer_into on the compile backend. `out` must not alias
+  /// the final op writes `out`. Under a BackendScope other than the compile
+  /// backend the ops run the unpacked kernels of the scoped backend, still
+  /// bitwise equal to the unfused chain on it. `out` must not alias
   /// `input`, and may alias a context buffer only for single-op (or empty)
   /// plans — multi-op plans need both buffers for intermediates. The
   /// first call reserves the precomputed arena high-water; after one
@@ -104,9 +103,11 @@ class InferPlan {
 
   /// Executes the plan straight from uint8 latent codes (the int8 uplink
   /// head): a Dense head op feeds Backend::gemm_quantized via its
-  /// pre-attached panels; otherwise the codes are dequantized
-  /// (x = lo + q*scale) into the context input buffer and the float plan
-  /// runs. Bitwise identical to Sequential::infer_quantized_into.
+  /// pre-attached panels. Otherwise — a non-Dense head, or a BackendScope
+  /// other than the compile backend — the codes are dequantized
+  /// (x = lo + q*scale, single-float) into the context input buffer and the
+  /// float ops run; gemm_quantized is bitwise equal to that dequantize-then-
+  /// GEMM, so every branch produces the same output.
   void run_quantized(const std::uint8_t* codes, const tensor::QuantHeader& qh,
                      std::size_t batch, std::size_t features, Tensor& out,
                      InferContext& ctx) const;
@@ -129,15 +130,21 @@ class InferPlan {
   std::size_t scratch_floats() const noexcept { return scratch_floats_; }
 
   /// Per-op execution profile accumulated while obs::kernel_profiling is
-  /// enabled: op | kernel | calls | total ms | mean us. Replaces
-  /// Sequential's per-layer table on the serving path. Rows with zero
-  /// calls are omitted.
+  /// enabled: op | kernel | calls | total ms | mean us — the per-layer
+  /// decode profile. Rows with zero calls are omitted.
   common::Table op_profile_table() const;
   /// Zeroes the per-op profile accumulators.
   void reset_op_profile() const;
 
  private:
   InferPlan() = default;
+
+  /// Shared entry checks: rejects a context-buffer `out` for multi-op
+  /// plans and reserves the arena high-water on a fresh context.
+  void prepare(const Tensor& out, InferContext& ctx) const;
+
+  /// Charges one call of op `i`, started at `t0`, to its profile timer.
+  void record_op(std::size_t i, std::uint64_t t0) const;
 
   /// The executor loop over ops [start, ...): shared by run() and the
   /// quantized entry's tail.

@@ -35,7 +35,7 @@ using ClusterId = std::uint64_t;
 
 /// One immutable model generation. The decoder (and optional encoder — the
 /// §III-C broadcast package a client refreshes after a swap) must never be
-/// mutated after publication: shard workers call infer() on them
+/// mutated after publication: shard workers run `plan` over them
 /// concurrently with later generations being trained.
 struct ModelSnapshot {
   std::uint64_t version = 0;  // EdgeServer::model_version() at export time

@@ -173,7 +173,7 @@ TEST(ReplicationTest, DeltaShipsOnlyChangedParamsAndAppliesWithoutCopies) {
 
   // Perturb exactly one parameter tensor.
   decoder.params()[0].value->data()[0] += 1.0f;
-  decoder.invalidate_weight_cache();
+  decoder.mark_weights_changed();
   const SnapshotImage next = image_of(decoder, 2);
 
   const std::uint64_t copies_before = blob_copy_count();
@@ -206,7 +206,7 @@ TEST(ReplicationTest, BaseVersionMismatchThrows) {
   nn::Sequential& decoder = system.edge().decoder();
   const SnapshotImage v1 = image_of(decoder, 1);
   decoder.params()[0].value->data()[0] += 1.0f;
-  decoder.invalidate_weight_cache();
+  decoder.mark_weights_changed();
   const SnapshotImage v2 = image_of(decoder, 2);
   const SnapshotDelta delta = make_delta(v1, v2);
   // A follower holding v2 (not the delta's base v1) must reject.
@@ -216,7 +216,7 @@ TEST(ReplicationTest, BaseVersionMismatchThrows) {
 TEST(ReplicationTest, LoadImageRestoresWeightsBitwise) {
   core::OrcoDcsSystem trained(tiny_system());
   trained.edge().decoder().params()[0].value->data()[0] += 0.5f;
-  trained.edge().decoder().invalidate_weight_cache();
+  trained.edge().decoder().mark_weights_changed();
   const SnapshotImage image = image_of(trained.edge().decoder(), 7);
 
   auto fresh_cfg = tiny_system();

@@ -1,7 +1,7 @@
 // Tests for the zero-allocation inference substrate: the tensor::Workspace
 // bump arena (growth, mark/rewind, coalesce-on-reset), InferContext buffer
 // ping-pong reuse, and — via a counting global operator new — proof that a
-// steady-state decode through a warmed context performs zero heap
+// steady-state InferPlan decode through a warmed context performs zero heap
 // allocations (the acceptance bar for the serving shard's decode stage).
 //
 // This TU owns the test binary's global operator new/delete replacement;
@@ -28,6 +28,7 @@
 #include "obs/trace.h"
 #include "tensor/backend.h"
 #include "tensor/workspace.h"
+#include "unfused_oracle.h"
 
 namespace {
 
@@ -174,7 +175,7 @@ TEST(InferContextTest, PingPongBuffersAlternate) {
   EXPECT_FALSE(ctx.owns(outside));
 }
 
-TEST(InferContextTest, SequentialInferIntoMatchesInferBitwise) {
+TEST(InferContextTest, SequentialInferIntoMatchesUnfusedOracleBitwise) {
   common::Pcg32 rng(7);
   nn::Sequential model;
   model.emplace<nn::Dense>(16, 48, rng);
@@ -190,7 +191,7 @@ TEST(InferContextTest, SequentialInferIntoMatchesInferBitwise) {
   // within capacity without perturbing values.
   for (const std::size_t batch : {8u, 1u, 5u, 8u}) {
     const Tensor x = Tensor::randn({batch, 16}, rng);
-    const Tensor expected = model.infer(x);
+    const Tensor expected = oracle::unfused_infer(model, x);
     model.infer_into(x, out, ctx);
     ASSERT_EQ(out.shape(), expected.shape());
     for (std::size_t i = 0; i < out.numel(); ++i) {
@@ -199,7 +200,7 @@ TEST(InferContextTest, SequentialInferIntoMatchesInferBitwise) {
   }
 }
 
-TEST(InferContextTest, ConvChainInferIntoMatchesInferBitwise) {
+TEST(InferContextTest, ConvChainInferIntoMatchesUnfusedOracleBitwise) {
   common::Pcg32 rng(21);
   nn::Sequential model;
   // 1x8x8 -> conv 4ch -> ReLU -> pool -> convT back up -> Sigmoid.
@@ -213,7 +214,7 @@ TEST(InferContextTest, ConvChainInferIntoMatchesInferBitwise) {
   Tensor out;
   for (const std::size_t batch : {3u, 1u, 3u}) {
     const Tensor x = Tensor::randn({batch, 64}, rng);
-    const Tensor expected = model.infer(x);
+    const Tensor expected = oracle::unfused_infer(model, x);
     model.infer_into(x, out, ctx);
     ASSERT_EQ(out.shape(), expected.shape());
     for (std::size_t i = 0; i < out.numel(); ++i) {
@@ -247,104 +248,10 @@ TEST(InferContextTest, InputMayAliasAContextBuffer) {
   }
 }
 
-TEST(ZeroAllocTest, WarmedSequentialDecodeMakesNoHeapAllocations) {
-  SerialBlockedScope kernels;
-  common::Pcg32 rng(11);
-  nn::Sequential model;
-  model.emplace<nn::Dense>(16, 64, rng);
-  model.emplace<nn::ReLU>();
-  model.emplace<nn::Dense>(64, 64, rng);
-  model.emplace<nn::Sigmoid>();
-  model.set_weight_prepack(true);
-
-  InferContext ctx;
-  Tensor out;
-  const Tensor x = Tensor::randn({8, 16}, rng);
-  // Warmup: grows the context buffers to their high-water mark and packs
-  // the weight panels.
-  model.infer_into(x, out, ctx);
-  model.infer_into(x, out, ctx);
-
-  std::uint64_t allocs = 0;
-  {
-    CountAllocs counter;
-    for (int i = 0; i < 16; ++i) model.infer_into(x, out, ctx);
-    allocs = CountAllocs::count();
-  }
-  EXPECT_EQ(allocs, 0u);
-
-  // Smaller batches recycle the same (capacity-preserving) buffers.
-  const Tensor small = Tensor::randn({2, 16}, rng);
-  model.infer_into(small, out, ctx);  // shape warmup outside the counter
-  std::uint64_t small_allocs = 0;
-  {
-    CountAllocs counter;
-    for (int i = 0; i < 16; ++i) model.infer_into(small, out, ctx);
-    small_allocs = CountAllocs::count();
-  }
-  EXPECT_EQ(small_allocs, 0u);
-}
-
-TEST(ZeroAllocTest, WarmedQuantizedDecodeMakesNoHeapAllocations) {
-  // The int8 uplink decode path (Sequential::infer_quantized_into feeding
-  // Backend::gemm_quantized) must meet the same zero-allocation bar as the
-  // float path: after warmup, codes in -> reconstruction out touches no
-  // allocator.
-  SerialBlockedScope kernels;
-  common::Pcg32 rng(29);
-  nn::Sequential model;
-  model.emplace<nn::Dense>(16, 64, rng);
-  model.emplace<nn::ReLU>();
-  model.emplace<nn::Dense>(64, 64, rng);
-  model.emplace<nn::Sigmoid>();
-  model.set_weight_prepack(true);
-
-  // Wire-format stand-ins: 8x16 uint8 codes with per-row affine headers.
-  std::vector<std::uint8_t> codes(8 * 16);
-  for (std::size_t i = 0; i < codes.size(); ++i) {
-    codes[i] = static_cast<std::uint8_t>((i * 37 + 11) & 0xFF);
-  }
-  std::vector<float> lo(8), scale(8);
-  for (std::size_t i = 0; i < 8; ++i) {
-    lo[i] = -0.5f + 0.1f * static_cast<float>(i);
-    scale[i] = 1.5f / 255.0f;
-  }
-  const tensor::QuantHeader qh{lo.data(), scale.data()};
-
-  InferContext ctx;
-  Tensor out;
-  model.infer_quantized_into(codes.data(), qh, 8, 16, out, ctx);
-  model.infer_quantized_into(codes.data(), qh, 8, 16, out, ctx);
-
-  std::uint64_t allocs = 0;
-  {
-    CountAllocs counter;
-    for (int i = 0; i < 16; ++i) {
-      model.infer_quantized_into(codes.data(), qh, 8, 16, out, ctx);
-    }
-    allocs = CountAllocs::count();
-  }
-  EXPECT_EQ(allocs, 0u);
-  EXPECT_EQ(out.dim(1), 64u);
-
-  // Smaller batches through the same warmed context stay allocation-free.
-  model.infer_quantized_into(codes.data(), qh, 3, 16, out, ctx);
-  std::uint64_t small_allocs = 0;
-  {
-    CountAllocs counter;
-    for (int i = 0; i < 16; ++i) {
-      model.infer_quantized_into(codes.data(), qh, 3, 16, out, ctx);
-    }
-    small_allocs = CountAllocs::count();
-  }
-  EXPECT_EQ(small_allocs, 0u);
-}
-
 TEST(ZeroAllocTest, WarmedPlanExecutorMakesNoHeapAllocations) {
-  // The compiled-plan executor must meet the same bar as (and eventually
-  // replaces) Sequential::infer_into on serving paths: after one warmup
-  // run at the high-water batch, run() touches no allocator — kernels come
-  // pre-resolved, panels pre-packed, the arena pre-reserved.
+  // The compiled-plan executor, every decode path's engine: after one
+  // warmup run at the high-water batch, run() touches no allocator —
+  // kernels come pre-resolved, panels pre-packed, the arena pre-reserved.
   SerialBlockedScope kernels;
   common::Pcg32 rng(37);
   nn::Sequential model;
@@ -368,7 +275,19 @@ TEST(ZeroAllocTest, WarmedPlanExecutorMakesNoHeapAllocations) {
   }
   EXPECT_EQ(allocs, 0u);
 
-  // Quantized head entry through the same warmed plan and context.
+  // Smaller batches recycle the same (capacity-preserving) buffers.
+  const Tensor small = Tensor::randn({2, 16}, rng);
+  plan->run(small, out, ctx);  // shape warmup outside the counter
+  std::uint64_t small_allocs = 0;
+  {
+    CountAllocs counter;
+    for (int i = 0; i < 16; ++i) plan->run(small, out, ctx);
+    small_allocs = CountAllocs::count();
+  }
+  EXPECT_EQ(small_allocs, 0u);
+
+  // Quantized head entry (the int8 uplink decode, codes feeding
+  // Backend::gemm_quantized) through the same warmed plan and context.
   std::vector<std::uint8_t> codes(8 * 16);
   for (std::size_t i = 0; i < codes.size(); ++i) {
     codes[i] = static_cast<std::uint8_t>((i * 53 + 5) & 0xFF);
@@ -385,6 +304,19 @@ TEST(ZeroAllocTest, WarmedPlanExecutorMakesNoHeapAllocations) {
     q_allocs = CountAllocs::count();
   }
   EXPECT_EQ(q_allocs, 0u);
+  EXPECT_EQ(out.dim(1), 64u);
+
+  // Partial quantized batches stay allocation-free too.
+  plan->run_quantized(codes.data(), qh, 3, 16, out, ctx);
+  std::uint64_t q_small_allocs = 0;
+  {
+    CountAllocs counter;
+    for (int i = 0; i < 16; ++i) {
+      plan->run_quantized(codes.data(), qh, 3, 16, out, ctx);
+    }
+    q_small_allocs = CountAllocs::count();
+  }
+  EXPECT_EQ(q_small_allocs, 0u);
 }
 
 TEST(ZeroAllocTest, WarmedConvPlanExecutorMakesNoHeapAllocations) {
@@ -445,68 +377,26 @@ TEST(ZeroAllocTest, NestedChainDecodesZeroAllocAndBitwiseEqualToFlat) {
     nested.add(std::move(inner));
     nested.emplace<nn::Sigmoid>();
   }
-  flat.set_weight_prepack(true);
-  nested.set_weight_prepack(true);
 
   common::Pcg32 data_rng(51);
   const Tensor x = Tensor::randn({8, 16}, data_rng);
-  InferContext flat_ctx, nested_ctx;
-  Tensor flat_out, nested_out;
-  flat.infer_into(x, flat_out, flat_ctx);
-  nested.infer_into(x, nested_out, nested_ctx);
-  ASSERT_EQ(nested_out.shape(), flat_out.shape());
-  for (std::size_t i = 0; i < nested_out.numel(); ++i) {
-    ASSERT_EQ(nested_out[i], flat_out[i]) << "elem " << i;
-  }
-
-  nested.infer_into(x, nested_out, nested_ctx);  // warmup
-  std::uint64_t allocs = 0;
-  {
-    CountAllocs counter;
-    for (int i = 0; i < 16; ++i) nested.infer_into(x, nested_out, nested_ctx);
-    allocs = CountAllocs::count();
-  }
-  EXPECT_EQ(allocs, 0u);
-
-  // The plan compiled from the nested chain meets the same bar.
+  const Tensor flat_out = oracle::unfused_infer(flat, x);
   const auto plan = nn::InferPlan::compile(nested);
+  ASSERT_EQ(plan->size(), nn::InferPlan::compile(flat)->size());
+  InferContext ctx;
   Tensor plan_out;
-  plan->run(x, plan_out, nested_ctx);
+  plan->run(x, plan_out, ctx);  // warmup
+  ASSERT_EQ(plan_out.shape(), flat_out.shape());
   for (std::size_t i = 0; i < plan_out.numel(); ++i) {
     ASSERT_EQ(plan_out[i], flat_out[i]) << "plan elem " << i;
   }
   std::uint64_t plan_allocs = 0;
   {
     CountAllocs counter;
-    for (int i = 0; i < 16; ++i) plan->run(x, plan_out, nested_ctx);
+    for (int i = 0; i < 16; ++i) plan->run(x, plan_out, ctx);
     plan_allocs = CountAllocs::count();
   }
   EXPECT_EQ(plan_allocs, 0u);
-}
-
-TEST(ZeroAllocTest, WarmedConvDecodeMakesNoHeapAllocations) {
-  SerialBlockedScope kernels;
-  common::Pcg32 rng(13);
-  nn::Sequential model;
-  model.emplace<nn::Conv2d>(1, 4, 3, 1, 1, 8, 8, rng);
-  model.emplace<nn::ReLU>();
-  model.emplace<nn::ConvTranspose2d>(4, 1, 2, 2, 0, 8, 8, rng);
-  model.emplace<nn::Sigmoid>();
-  model.set_weight_prepack(true);
-
-  InferContext ctx;
-  Tensor out;
-  const Tensor x = Tensor::randn({4, 64}, rng);
-  model.infer_into(x, out, ctx);
-  model.infer_into(x, out, ctx);
-
-  std::uint64_t allocs = 0;
-  {
-    CountAllocs counter;
-    for (int i = 0; i < 8; ++i) model.infer_into(x, out, ctx);
-    allocs = CountAllocs::count();
-  }
-  EXPECT_EQ(allocs, 0u);
 }
 
 TEST(ZeroAllocTest, ClusterShardStyleSteadyStateDecodeIsAllocationFree) {
@@ -521,7 +411,6 @@ TEST(ZeroAllocTest, ClusterShardStyleSteadyStateDecodeIsAllocationFree) {
   cfg.orco.latent_dim = 16;
   cfg.orco.decoder_layers = 3;
   cfg.orco.seed = 5;
-  cfg.orco.prepack_decoder = true;
   cfg.field.device_count = 8;
   cfg.field.radio_range_m = 60.0;
   core::OrcoDcsSystem system(cfg);
@@ -558,9 +447,10 @@ TEST(ZeroAllocTest, ClusterShardStyleSteadyStateDecodeIsAllocationFree) {
 TEST(ZeroAllocTest, SteadyStateDecodeStaysAllocationFreeWithObservabilityOn) {
   // Same acceptance bar as above with the full observability stack armed:
   // metrics, tracing at rate 1.0 (every decode emits a span into the
-  // thread-local ring) and per-kernel/per-layer profiling. The ring and the
-  // layer timers are created during warmup; the steady-state record path is
-  // plain atomic adds and ring stores, so it must stay off the allocator.
+  // thread-local ring) and per-kernel/per-op profiling. The ring and the
+  // plan's op timers are created during warmup; the steady-state record
+  // path is plain atomic adds and ring stores, so it must stay off the
+  // allocator.
   SerialBlockedScope kernels;
   obs::ObsConfig obs_cfg;
   obs_cfg.trace_sample_rate = 1.0;
@@ -572,7 +462,6 @@ TEST(ZeroAllocTest, SteadyStateDecodeStaysAllocationFreeWithObservabilityOn) {
   cfg.orco.latent_dim = 16;
   cfg.orco.decoder_layers = 3;
   cfg.orco.seed = 5;
-  cfg.orco.prepack_decoder = true;
   cfg.field.device_count = 8;
   cfg.field.radio_range_m = 60.0;
   core::OrcoDcsSystem system(cfg);

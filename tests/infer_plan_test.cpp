@@ -1,9 +1,10 @@
-// Tests for InferPlan, the compile-once inference plan (nn/infer_plan.h):
-// compile-time structure (identity layers dropped, activations fused,
-// packed panels pre-attached), bitwise parity with Sequential::infer_into
-// across all three backends and odd shapes, the int8 quantized head,
-// all-identity chains, nested-chain flattening, weight-staleness
-// detection, and the precomputed arena high-water.
+// Tests for InferPlan, the compile-once inference plan and only inference
+// engine (nn/infer_plan.h): compile-time structure (identity layers
+// dropped, activations fused, packed panels pre-attached), bitwise parity
+// with the unfused layer-by-layer oracle (unfused_oracle.h) across all
+// three backends and odd shapes, foreign-backend fallbacks for the float
+// and int8 entries, all-identity chains, nested-chain flattening,
+// weight-staleness detection, and the precomputed arena high-water.
 #include <gtest/gtest.h>
 
 #include <cstdint>
@@ -21,6 +22,7 @@
 #include "nn/pooling.h"
 #include "nn/sequential.h"
 #include "tensor/backend.h"
+#include "unfused_oracle.h"
 
 namespace orco {
 namespace {
@@ -92,25 +94,25 @@ TEST(InferPlanTest, CompileDropsIdentityAndFusesActivations) {
   EXPECT_FALSE(plan->weights_stale());
 }
 
-TEST(InferPlanTest, MatchesSequentialBitwiseOnAllBackendsAndOddShapes) {
+TEST(InferPlanTest, MatchesUnfusedOracleBitwiseOnAllBackendsAndOddShapes) {
   for (const tensor::Backend* backend : all_backends()) {
     tensor::BackendScope scope(backend);
     const auto model = make_odd_dense_model(97);
     const auto plan = InferPlan::compile(*model, backend);
 
-    InferContext seq_ctx, plan_ctx;
-    Tensor expected, got;
+    InferContext plan_ctx;
+    Tensor got;
     common::Pcg32 rng(5);
     for (const std::size_t batch : {1u, 3u, 7u, 11u, 7u}) {
       const Tensor x = Tensor::randn({batch, 13}, rng);
-      model->infer_into(x, expected, seq_ctx);
       plan->run(x, got, plan_ctx);
-      expect_bitwise_equal(got, expected, "dense plan");
+      expect_bitwise_equal(got, oracle::unfused_infer(*model, x),
+                           "dense plan");
     }
   }
 }
 
-TEST(InferPlanTest, ConvChainMatchesSequentialBitwiseOnAllBackends) {
+TEST(InferPlanTest, ConvChainMatchesUnfusedOracleBitwiseOnAllBackends) {
   for (const tensor::Backend* backend : all_backends()) {
     tensor::BackendScope scope(backend);
     common::Pcg32 rng(57);
@@ -126,13 +128,12 @@ TEST(InferPlanTest, ConvChainMatchesSequentialBitwiseOnAllBackends) {
     EXPECT_NE(plan->ops()[0].conv, nullptr);
     EXPECT_NE(plan->ops()[0].packed, nullptr);
 
-    InferContext seq_ctx, plan_ctx;
-    Tensor expected, got;
+    InferContext plan_ctx;
+    Tensor got;
     for (const std::size_t batch : {1u, 3u, 5u}) {
       const Tensor x = Tensor::randn({batch, 64}, rng);
-      model.infer_into(x, expected, seq_ctx);
       plan->run(x, got, plan_ctx);
-      expect_bitwise_equal(got, expected, "conv plan");
+      expect_bitwise_equal(got, oracle::unfused_infer(model, x), "conv plan");
     }
   }
 }
@@ -140,77 +141,129 @@ TEST(InferPlanTest, ConvChainMatchesSequentialBitwiseOnAllBackends) {
 TEST(InferPlanTest, RunUnderForeignBackendScopeStaysBitwiseCorrect) {
   // Panels are pinned to the compile backend; a BackendScope override at
   // run time must fall back to the unpacked kernels and still match the
-  // Sequential result under that same scope bitwise.
+  // oracle under that same scope bitwise.
   const auto model = make_odd_dense_model(131);
   const auto plan = InferPlan::compile(*model, &tensor::blocked_backend());
 
   tensor::BackendScope scope(&tensor::reference_backend());
-  InferContext seq_ctx, plan_ctx;
-  Tensor expected, got;
+  InferContext plan_ctx;
+  Tensor got;
   common::Pcg32 rng(9);
   const Tensor x = Tensor::randn({5, 13}, rng);
-  model->infer_into(x, expected, seq_ctx);
   plan->run(x, got, plan_ctx);
-  expect_bitwise_equal(got, expected, "foreign-scope plan");
+  expect_bitwise_equal(got, oracle::unfused_infer(*model, x),
+                       "foreign-scope plan");
 }
 
-TEST(InferPlanTest, QuantizedHeadMatchesSequentialBitwiseOnAllBackends) {
-  constexpr std::size_t kBatch = 6, kFeatures = 13;
-  std::vector<std::uint8_t> codes(kBatch * kFeatures);
-  for (std::size_t i = 0; i < codes.size(); ++i) {
-    codes[i] = static_cast<std::uint8_t>((i * 73 + 19) & 0xFF);
+/// Synthetic int8 uplink batch: batch × features codes with per-row affine
+/// headers (lo, scale) that differ row to row.
+struct QuantBatch {
+  QuantBatch(std::size_t batch, std::size_t features, std::size_t mul,
+             std::size_t add)
+      : features(features), codes(batch * features), lo(batch), scale(batch) {
+    for (std::size_t i = 0; i < codes.size(); ++i) {
+      codes[i] = static_cast<std::uint8_t>((i * mul + add) & 0xFF);
+    }
+    for (std::size_t i = 0; i < batch; ++i) {
+      lo[i] = -0.75f + 0.2f * static_cast<float>(i);
+      scale[i] = (1.0f + 0.1f * static_cast<float>(i)) / 255.0f;
+    }
   }
-  std::vector<float> lo(kBatch), scale(kBatch);
-  for (std::size_t i = 0; i < kBatch; ++i) {
-    lo[i] = -0.75f + 0.2f * static_cast<float>(i);
-    scale[i] = (1.0f + 0.1f * static_cast<float>(i)) / 255.0f;
+  tensor::QuantHeader header() const { return {lo.data(), scale.data()}; }
+  /// The float batch the first `rows` rows decode to.
+  Tensor dequantized(std::size_t rows) const {
+    return oracle::dequantize(codes.data(), header(), rows, features);
   }
-  const tensor::QuantHeader qh{lo.data(), scale.data()};
 
+  std::size_t features;
+  std::vector<std::uint8_t> codes;
+  std::vector<float> lo, scale;
+};
+
+TEST(InferPlanTest, QuantizedHeadMatchesDequantizedOracleOnAllBackends) {
+  constexpr std::size_t kBatch = 6, kFeatures = 13;
+  const QuantBatch q(kBatch, kFeatures, 73, 19);
   for (const tensor::Backend* backend : all_backends()) {
     tensor::BackendScope scope(backend);
     const auto model = make_odd_dense_model(211);
     const auto plan = InferPlan::compile(*model, backend);
 
-    InferContext seq_ctx, plan_ctx;
-    Tensor expected, got;
-    model->infer_quantized_into(codes.data(), qh, kBatch, kFeatures, expected,
-                                seq_ctx);
-    plan->run_quantized(codes.data(), qh, kBatch, kFeatures, got, plan_ctx);
-    expect_bitwise_equal(got, expected, "quantized head");
+    InferContext plan_ctx;
+    Tensor got;
+    plan->run_quantized(q.codes.data(), q.header(), kBatch, kFeatures, got,
+                        plan_ctx);
+    expect_bitwise_equal(
+        got, oracle::unfused_infer(*model, q.dequantized(kBatch)),
+        "quantized head");
 
-    // Partial batch through the same contexts.
-    model->infer_quantized_into(codes.data(), qh, 2, kFeatures, expected,
-                                seq_ctx);
-    plan->run_quantized(codes.data(), qh, 2, kFeatures, got, plan_ctx);
-    expect_bitwise_equal(got, expected, "quantized head partial batch");
+    // Partial batch through the same context.
+    plan->run_quantized(q.codes.data(), q.header(), 2, kFeatures, got,
+                        plan_ctx);
+    expect_bitwise_equal(got, oracle::unfused_infer(*model, q.dequantized(2)),
+                         "quantized head partial batch");
   }
 }
 
-TEST(InferPlanTest, QuantizedNonDenseHeadDequantizesAndMatchesSequential) {
-  // A conv-headed chain has no Dense to feed codes into: both executors
-  // dequantize into their context input buffer and run the float chain.
+/// Conv-headed chain (no Dense to feed codes into): 1x4x4 in, 7 out.
+std::unique_ptr<nn::Sequential> make_conv_head_model(std::uint64_t seed) {
+  common::Pcg32 rng(seed);
+  auto model = std::make_unique<nn::Sequential>();
+  model->emplace<nn::Conv2d>(1, 2, 3, 1, 1, 4, 4, rng);
+  model->emplace<nn::ReLU>();
+  model->emplace<nn::Dense>(32, 7, rng);
+  model->emplace<nn::Sigmoid>();
+  return model;
+}
+
+TEST(InferPlanTest, QuantizedNonDenseHeadDequantizesAndMatchesOracle) {
+  // No Dense head to feed codes into: the plan dequantizes into its
+  // context input buffer and runs the float ops.
   tensor::BackendScope scope(&tensor::blocked_backend());
-  common::Pcg32 rng(77);
-  nn::Sequential model;
-  model.emplace<nn::Conv2d>(1, 2, 3, 1, 1, 4, 4, rng);
-  model.emplace<nn::ReLU>();
-  const auto plan = InferPlan::compile(model);
+  const auto model = make_conv_head_model(77);
+  const auto plan = InferPlan::compile(*model);
 
   constexpr std::size_t kBatch = 3, kFeatures = 16;
-  std::vector<std::uint8_t> codes(kBatch * kFeatures);
-  for (std::size_t i = 0; i < codes.size(); ++i) {
-    codes[i] = static_cast<std::uint8_t>((i * 41 + 7) & 0xFF);
-  }
-  std::vector<float> lo(kBatch, -0.5f), scale(kBatch, 1.0f / 255.0f);
-  const tensor::QuantHeader qh{lo.data(), scale.data()};
+  const QuantBatch q(kBatch, kFeatures, 41, 7);
+  InferContext plan_ctx;
+  Tensor got;
+  plan->run_quantized(q.codes.data(), q.header(), kBatch, kFeatures, got,
+                      plan_ctx);
+  expect_bitwise_equal(
+      got, oracle::unfused_infer(*model, q.dequantized(kBatch)),
+      "conv-head quantized");
+}
 
-  InferContext seq_ctx, plan_ctx;
-  Tensor expected, got;
-  model.infer_quantized_into(codes.data(), qh, kBatch, kFeatures, expected,
-                             seq_ctx);
-  plan->run_quantized(codes.data(), qh, kBatch, kFeatures, got, plan_ctx);
-  expect_bitwise_equal(got, expected, "conv-head quantized");
+TEST(InferPlanTest, RunQuantizedUnderForeignBackendScopeStaysBitwiseCorrect) {
+  // Compiled on simd, run under reference and blocked scopes: the Dense
+  // head's panels belong to simd, so run_quantized must dequantize and run
+  // the float ops on the scoped backend, bitwise equal to the oracle on the
+  // dequantized floats there. The conv head takes that path anyway.
+  const auto dense_model = make_odd_dense_model(149);
+  const auto conv_model = make_conv_head_model(151);
+  const auto dense_plan =
+      InferPlan::compile(*dense_model, &tensor::simd_backend());
+  const auto conv_plan =
+      InferPlan::compile(*conv_model, &tensor::simd_backend());
+  constexpr std::size_t kBatch = 5;
+  const QuantBatch dense_q(kBatch, 13, 29, 3);
+  const QuantBatch conv_q(kBatch, 16, 59, 11);
+
+  for (const tensor::Backend* foreign :
+       {&tensor::reference_backend(), &tensor::blocked_backend()}) {
+    tensor::BackendScope scope(foreign);
+    InferContext ctx;
+    Tensor got;
+    dense_plan->run_quantized(dense_q.codes.data(), dense_q.header(), kBatch,
+                              13, got, ctx);
+    expect_bitwise_equal(
+        got, oracle::unfused_infer(*dense_model, dense_q.dequantized(kBatch)),
+        "foreign-scope quantized dense head");
+    conv_plan->run_quantized(conv_q.codes.data(), conv_q.header(), kBatch,
+                             16, got, ctx);
+    expect_bitwise_equal(
+        got, oracle::unfused_infer(*conv_model, conv_q.dequantized(kBatch)),
+        "foreign-scope quantized conv head");
+  }
 }
 
 TEST(InferPlanTest, AllIdentityChainCompilesToEmptyPlanAndCopies) {
@@ -224,19 +277,15 @@ TEST(InferPlanTest, AllIdentityChainCompilesToEmptyPlanAndCopies) {
 
   common::Pcg32 rng(15);
   const Tensor x = Tensor::randn({4, 9}, rng);
-  InferContext seq_ctx, plan_ctx;
-  Tensor expected, got;
-  model.infer_into(x, expected, seq_ctx);
+  InferContext plan_ctx;
+  Tensor got;
   plan->run(x, got, plan_ctx);
-  expect_bitwise_equal(got, expected, "identity chain");
+  expect_bitwise_equal(got, x, "identity chain");
 
   // Quantized entry through an empty plan is pure dequantization.
-  std::vector<std::uint8_t> codes(2 * 9, 128);
-  std::vector<float> lo(2, -1.0f), scale(2, 2.0f / 255.0f);
-  const tensor::QuantHeader qh{lo.data(), scale.data()};
-  model.infer_quantized_into(codes.data(), qh, 2, 9, expected, seq_ctx);
-  plan->run_quantized(codes.data(), qh, 2, 9, got, plan_ctx);
-  expect_bitwise_equal(got, expected, "identity chain quantized");
+  const QuantBatch q(2, 9, 37, 128);
+  plan->run_quantized(q.codes.data(), q.header(), 2, 9, got, plan_ctx);
+  expect_bitwise_equal(got, q.dequantized(2), "identity chain quantized");
 }
 
 TEST(InferPlanTest, NestedChainCompilesAndRunsBitwiseEqualToFlat) {
@@ -270,7 +319,10 @@ TEST(InferPlanTest, NestedChainCompilesAndRunsBitwiseEqualToFlat) {
     nested_plan->run(x, nested_out, nested_ctx);
     expect_bitwise_equal(nested_out, flat_out, "nested plan vs flat plan");
 
-    // And the container's own infer_into agrees with both.
+    expect_bitwise_equal(flat_out, oracle::unfused_infer(*flat, x),
+                         "flat plan vs oracle");
+
+    // Sequential::infer_into (compile-and-run) agrees with both.
     Tensor seq_out;
     outer->infer_into(x, seq_out, nested_ctx);
     expect_bitwise_equal(seq_out, flat_out, "nested infer_into vs flat plan");
@@ -278,27 +330,47 @@ TEST(InferPlanTest, NestedChainCompilesAndRunsBitwiseEqualToFlat) {
 }
 
 TEST(InferPlanTest, WeightsStaleFlipsAfterMutationAndRecompileClears) {
-  common::Pcg32 rng(59);
-  nn::Sequential model;
-  auto& dense = model.emplace<nn::Dense>(8, 12, rng);
-  model.emplace<nn::ReLU>();
+  // The two out-of-band edit routes: the Dense::weight() accessor, and a
+  // write through a ParamView held since before compile (an optimizer's)
+  // followed by mark_weights_changed(). Either way the stale plan keeps
+  // serving the weights it packed, and a recompiled plan serves the new
+  // ones.
+  for (const bool via_param_view : {false, true}) {
+    SCOPED_TRACE(via_param_view ? "ParamView + mark_weights_changed"
+                                : "Dense::weight()");
+    common::Pcg32 rng(59);
+    nn::Sequential model;
+    auto& dense = model.emplace<nn::Dense>(8, 12, rng);
+    model.emplace<nn::ReLU>();
+    const std::vector<nn::ParamView> params = model.params();
+    const Tensor x = Tensor::randn({3, 8}, rng);
+    const Tensor old_expected = oracle::unfused_infer(model, x);
 
-  const auto plan = InferPlan::compile(model);
-  EXPECT_FALSE(plan->weights_stale());
-  // A training step / checkpoint load bumps the weight version this way.
-  model.invalidate_weight_cache();
-  EXPECT_TRUE(plan->weights_stale());
-  (void)dense;
+    const auto plan = InferPlan::compile(model);
+    EXPECT_FALSE(plan->weights_stale());
+    if (via_param_view) {
+      ASSERT_EQ(params[0].name, "layer0.Dense.weight");
+      for (float& w : params[0].value->data()) w = -1.5f * w + 0.125f;
+      // A raw write is invisible until the owner reports it.
+      EXPECT_FALSE(plan->weights_stale());
+      model.mark_weights_changed();
+    } else {
+      for (float& w : dense.weight().data()) w = -1.5f * w + 0.125f;
+    }
+    EXPECT_TRUE(plan->weights_stale());
+    const Tensor new_expected = oracle::unfused_infer(model, x);
+    ASSERT_FALSE(new_expected.allclose(old_expected, 0.0f));
 
-  const auto fresh = InferPlan::compile(model);
-  EXPECT_FALSE(fresh->weights_stale());
-  // The stale plan still executes (reading its captured panels) — it must
-  // not crash, and the fresh plan reflects the live weights.
-  InferContext ctx;
-  Tensor out;
-  const Tensor x = Tensor::randn({2, 8}, rng);
-  plan->run(x, out, ctx);
-  fresh->run(x, out, ctx);
+    InferContext ctx;
+    Tensor out;
+    plan->run(x, out, ctx);
+    expect_bitwise_equal(out, old_expected, "stale plan keeps old weights");
+
+    const auto fresh = InferPlan::compile(model);
+    EXPECT_FALSE(fresh->weights_stale());
+    fresh->run(x, out, ctx);
+    expect_bitwise_equal(out, new_expected, "recompiled plan");
+  }
 }
 
 TEST(InferPlanTest, ScratchFloatsCoversArenaHighWaterExactly) {

@@ -1,7 +1,7 @@
 // Int8 uplink decode path: the quantize/dequantize _into overload pair,
 // round-trip error bounds at batch-range extremes, Backend::gemm_quantized
 // parity against explicit dequantize-then-gemm on every backend, the
-// Sequential quantized entry point, an end-to-end decoder error bound
+// InferPlan quantized entry point, an end-to-end decoder error bound
 // propagated from quantization_error_bound, and the serving runtime's
 // quantized submit path (int8 GEMM fast path and row-wise fallback).
 #include <gtest/gtest.h>
@@ -14,10 +14,12 @@
 #include "nn/activations.h"
 #include "nn/dense.h"
 #include "nn/infer_context.h"
+#include "nn/infer_plan.h"
 #include "nn/sequential.h"
 #include "serve/serve.h"
 #include "tensor/backend.h"
 #include "tensor/tensor.h"
+#include "unfused_oracle.h"
 
 namespace orco {
 namespace {
@@ -203,7 +205,7 @@ TEST(GemmQuantizedTest, MatchesExplicitDequantThenPrepackedBitwise) {
   }
 }
 
-TEST(QuantizedInferTest, SequentialQuantizedEntryMatchesDequantizedChain) {
+TEST(QuantizedInferTest, PlanQuantizedEntryMatchesDequantizedOracle) {
   common::Pcg32 rng(55);
   std::vector<std::uint8_t> codes(5 * 16);
   for (std::size_t i = 0; i < codes.size(); ++i) {
@@ -215,16 +217,10 @@ TEST(QuantizedInferTest, SequentialQuantizedEntryMatchesDequantizedChain) {
     scale[i] = (1.0f + 0.3f * static_cast<float>(i)) / 255.0f;
   }
   const tensor::QuantHeader qh{lo.data(), scale.data()};
-  Tensor dequant({5, 16});
-  for (std::size_t i = 0; i < 5; ++i) {
-    for (std::size_t j = 0; j < 16; ++j) {
-      dequant.at(i, j) =
-          lo[i] + static_cast<float>(codes[i * 16 + j]) * scale[i];
-    }
-  }
+  const Tensor dequant = oracle::dequantize(codes.data(), qh, 5, 16);
 
-  // Dense head: codes feed the GEMM directly (with the activation
-  // peephole); must equal the float chain on the dequantized batch bitwise.
+  // Dense head: codes feed the GEMM directly (with the fused activation);
+  // must equal the unfused chain on the dequantized batch bitwise.
   {
     nn::Sequential model;
     model.emplace<nn::Dense>(16, 48, rng);
@@ -234,10 +230,10 @@ TEST(QuantizedInferTest, SequentialQuantizedEntryMatchesDequantizedChain) {
     for (const char* name : kAllBackends) {
       tensor::BackendScope scope(tensor::find_backend(name));
       nn::InferContext ctx;
-      Tensor out, expected;
-      model.infer_quantized_into(codes.data(), qh, 5, 16, out, ctx);
-      nn::InferContext ctx2;
-      model.infer_into(dequant, expected, ctx2);
+      Tensor out;
+      nn::InferPlan::compile(model)->run_quantized(codes.data(), qh, 5, 16,
+                                                   out, ctx);
+      const Tensor expected = oracle::unfused_infer(model, dequant);
       ASSERT_EQ(out.shape(), expected.shape());
       for (std::size_t i = 0; i < out.numel(); ++i) {
         ASSERT_EQ(out[i], expected[i]) << name << " element " << i;
@@ -253,10 +249,10 @@ TEST(QuantizedInferTest, SequentialQuantizedEntryMatchesDequantizedChain) {
     model.emplace<nn::Dense>(16, 24, rng);
     model.emplace<nn::Sigmoid>();
     nn::InferContext ctx;
-    Tensor out, expected;
-    model.infer_quantized_into(codes.data(), qh, 5, 16, out, ctx);
-    nn::InferContext ctx2;
-    model.infer_into(dequant, expected, ctx2);
+    Tensor out;
+    nn::InferPlan::compile(model)->run_quantized(codes.data(), qh, 5, 16, out,
+                                                 ctx);
+    const Tensor expected = oracle::unfused_infer(model, dequant);
     ASSERT_EQ(out.shape(), expected.shape());
     for (std::size_t i = 0; i < out.numel(); ++i) {
       ASSERT_EQ(out[i], expected[i]) << "non-dense head element " << i;
@@ -269,7 +265,8 @@ TEST(QuantizedInferTest, SequentialQuantizedEntryMatchesDequantizedChain) {
     model.emplace<nn::Identity>();
     nn::InferContext ctx;
     Tensor out;
-    model.infer_quantized_into(codes.data(), qh, 5, 16, out, ctx);
+    nn::InferPlan::compile(model)->run_quantized(codes.data(), qh, 5, 16, out,
+                                                 ctx);
     ASSERT_EQ(out.shape(), dequant.shape());
     for (std::size_t i = 0; i < out.numel(); ++i) {
       ASSERT_EQ(out[i], dequant[i]) << "identity chain element " << i;
@@ -322,11 +319,12 @@ TEST(QuantizedInferTest, EndToEndDecodeErrorWithinPropagatedBound) {
   }
 
   const tensor::QuantHeader qh{lo.data(), scale.data()};
+  const auto plan = nn::InferPlan::compile(model);
   nn::InferContext ctx;
   Tensor from_codes, from_floats;
-  model.infer_quantized_into(codes.data(), qh, 6, 16, from_codes, ctx);
+  plan->run_quantized(codes.data(), qh, 6, 16, from_codes, ctx);
   nn::InferContext ctx2;
-  model.infer_into(latents, from_floats, ctx2);
+  plan->run(latents, from_floats, ctx2);
   ASSERT_EQ(from_codes.shape(), from_floats.shape());
   const float per_unit =
       core::quantization_error_bound(LatentPrecision::kFixed8);

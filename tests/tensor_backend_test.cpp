@@ -330,7 +330,8 @@ TEST(FusedEpilogueTest, SequentialInferFusesDenseActivationPairs) {
   const Tensor x = Tensor::randn({6, 19}, rng);
   for (const char* name : kAllBackends) {
     tensor::BackendScope scope(tensor::find_backend(name));
-    // Layer-by-layer (unfused) pipeline vs the peepholed Sequential::infer.
+    // Layer-by-layer (unfused) pipeline vs the fused plan behind
+    // Sequential::infer.
     Tensor step = d1.infer(x);
     step = nn::LeakyReLU(0.05f).infer(step);
     step = d2.infer(step);
@@ -442,68 +443,23 @@ TEST(PrepackedTest, RowBiasPrepackedMatchesUnpackedBitwise) {
   }
 }
 
-TEST(PrepackedTest, DensePrepackCachesAcrossBackendsAndTracksMutation) {
-  common::Pcg32 rng(43);
-  nn::Dense dense(32, 16, rng);
-  const Tensor x = Tensor::randn({4, 32}, rng);
-  const Shape s{4, 32, 16};
-
-  for (const char* name : kAllBackends) {
-    tensor::BackendScope scope(tensor::find_backend(name));
-    dense.set_weight_prepack(false);
-    const Tensor baseline = dense.infer(x);
-    dense.set_weight_prepack(true);
-    ExpectBitwiseEqual(dense.infer(x), baseline, "prepacked dense", s);
-    // Cache hit on repeat.
-    ExpectBitwiseEqual(dense.infer(x), baseline, "cached dense", s);
-  }
-
-  // Mutating through the non-const accessor invalidates the cache: the
-  // next infer must see the new weights, not stale panels.
-  tensor::BackendScope scope(&tensor::blocked_backend());
-  dense.set_weight_prepack(true);
-  (void)dense.infer(x);  // populate the cache
-  dense.weight().fill(0.25f);
-  const nn::Dense& const_dense = dense;
-  const Tensor expected = tensor::gemm_bias_act(x, const_dense.weight(),
-                                                const_dense.bias());
-  ExpectBitwiseEqual(dense.infer(x), expected, "post-mutation dense", s);
-  // invalidate_weight_cache() alone must also force a repack.
-  dense.invalidate_weight_cache();
-  ExpectBitwiseEqual(dense.infer(x), expected, "post-invalidate dense", s);
-}
-
 TEST(PrepackedTest, Conv2dPrepackMatchesUnpackedBitwise) {
   common::Pcg32 rng(44);
   nn::Conv2d conv(2, 5, 3, 1, 1, 8, 8, rng);
   const Tensor x = Tensor::randn({3, 2 * 8 * 8}, rng);
   const Shape s{5, 18, 64};
   for (const char* name : kAllBackends) {
-    tensor::BackendScope scope(tensor::find_backend(name));
-    conv.set_weight_prepack(false);
+    const tensor::Backend* backend = tensor::find_backend(name);
+    tensor::BackendScope scope(backend);
     const Tensor baseline = conv.infer(x);
-    conv.set_weight_prepack(true);
-    ExpectBitwiseEqual(conv.infer(x), baseline, "prepacked conv", s);
-  }
-}
-
-TEST(PrepackedTest, SequentialInferWithPrepackMatchesUnpackedBitwise) {
-  common::Pcg32 rng(45);
-  nn::Sequential model;
-  model.emplace<nn::Dense>(24, 48, rng);
-  model.emplace<nn::ReLU>();
-  model.emplace<nn::Dense>(48, 36, rng);
-  model.emplace<nn::Sigmoid>();
-  const Tensor x = Tensor::randn({2, 24}, rng);
-  const Shape s{2, 24, 36};
-  for (const char* name : kAllBackends) {
-    tensor::BackendScope scope(tensor::find_backend(name));
-    model.set_weight_prepack(false);
-    const Tensor baseline = model.infer(x);
-    model.set_weight_prepack(true);
-    ExpectBitwiseEqual(model.infer(x), baseline, "prepacked sequential", s);
-    model.invalidate_weight_cache();
-    ExpectBitwiseEqual(model.infer(x), baseline, "invalidated sequential", s);
+    std::uint64_t version = 0;
+    const auto packed = conv.plan_pack(*backend, version);
+    EXPECT_EQ(version, conv.weight_version());
+    nn::InferContext ctx;
+    Tensor prepacked;
+    conv.infer_packed_into(x, prepacked, *packed, tensor::EpilogueAct::kNone,
+                           0.01f, ctx);
+    ExpectBitwiseEqual(prepacked, baseline, "prepacked conv", s);
   }
 }
 
