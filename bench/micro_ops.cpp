@@ -14,6 +14,7 @@
 #include <vector>
 
 #include "baseline/dcsnet.h"
+#include "common/fan_out.h"
 #include "common/stopwatch.h"
 #include "common/table.h"
 #include "core/orcodcs.h"
@@ -255,20 +256,27 @@ constexpr double gemm_flop(const GemmShape& s) {
 /// wins, so a stray scheduler hiccup can't poison the committed baseline.
 constexpr int kTimingReps = 3;
 
+/// Mean seconds per call over a timed loop of at least `min_seconds` and
+/// three calls.
+template <typename Fn>
+double seconds_per_call(Fn&& call, double min_seconds) {
+  std::size_t iters = 0;
+  common::Stopwatch sw;
+  double elapsed = 0.0;
+  while (elapsed < min_seconds || iters < 3) {
+    call();
+    ++iters;
+    elapsed = sw.seconds();
+  }
+  return elapsed / static_cast<double>(iters);
+}
+
 template <typename Fn>
 double best_gflops(double flop, Fn&& call) {
   call();  // warm-up outside any timed region
   double best = 0.0;
   for (int rep = 0; rep < kTimingReps; ++rep) {
-    std::size_t iters = 0;
-    common::Stopwatch sw;
-    double elapsed = 0.0;
-    while (elapsed < 0.2 || iters < 3) {
-      call();
-      ++iters;
-      elapsed = sw.seconds();
-    }
-    best = std::max(best, flop * static_cast<double>(iters) / elapsed / 1e9);
+    best = std::max(best, flop / seconds_per_call(call, 0.2) / 1e9);
   }
   return best;
 }
@@ -328,6 +336,78 @@ double int8_gflops(const tensor::Backend& be, const GemmShape& s) {
     be.gemm_quantized(codes.data(), qh, packed, c.data().data(), s.m, s.k,
                       s.n, epi);
   });
+}
+
+/// Median and quartiles of a small sample (linear interpolation).
+struct Spread {
+  double q1, median, q3;
+};
+
+Spread spread_of(std::vector<double> v) {
+  std::sort(v.begin(), v.end());
+  const auto at = [&](double q) {
+    const double pos = q * static_cast<double>(v.size() - 1);
+    const auto lo = static_cast<std::size_t>(pos);
+    const std::size_t hi = std::min(lo + 1, v.size() - 1);
+    return v[lo] + (pos - static_cast<double>(lo)) * (v[hi] - v[lo]);
+  };
+  return {at(0.25), at(0.5), at(0.75)};
+}
+
+/// Plan decode of the serving decoder (simd) with GEMM parallelism off
+/// (inline) and on (fanned out once a GEMM clears the 2^20-MAC floor), in
+/// interleaved repetitions that alternate which side runs first, so host
+/// drift lands on both sides. The per-repetition speedup inline/fanned is
+/// reported as median with quartiles. Returns the printable table.
+common::Table emit_decode_fanout(std::ofstream& json) {
+  constexpr int kReps = 9;
+  const auto model = make_decode_model();
+  const auto plan = nn::InferPlan::compile(*model, &tensor::simd_backend());
+  tensor::BackendScope scope(&tensor::simd_backend());
+  const std::size_t helpers = common::FanOut::global().helpers();
+  common::print_section(std::cout, "Plan decode: inline vs fanned out");
+  using common::Table;
+  Table table({"batch", "inline us", "fanned us", "speedup", "q1", "q3"});
+  json << "  \"decode_fanout\": {\"helpers\": " << helpers
+       << ", \"reps\": " << kReps << ", \"rows\": [\n";
+  const std::size_t batches[] = {1, 8, 32};
+  for (std::size_t bi = 0; bi < 3; ++bi) {
+    const std::size_t batch = batches[bi];
+    common::Pcg32 rng(29 + batch);
+    const Tensor x = Tensor::randn({batch, 128}, rng);
+    nn::InferContext ctx;
+    Tensor out;
+    const auto decode = [&] { plan->run(x, out, ctx); };
+    const auto timed = [&](bool fanned) {  // µs per decode
+      tensor::set_gemm_parallelism(fanned);
+      return seconds_per_call(decode, 0.04) * 1e6;
+    };
+    timed(false);  // warm: buffers, arena reserve, helper threads
+    timed(true);
+    std::vector<double> inline_us, fanned_us, speedup;
+    for (int rep = 0; rep < kReps; ++rep) {
+      const bool fanned_first = rep % 2 == 1;
+      const double first = timed(fanned_first);
+      const double second = timed(!fanned_first);
+      inline_us.push_back(fanned_first ? second : first);
+      fanned_us.push_back(fanned_first ? first : second);
+      speedup.push_back(inline_us.back() / fanned_us.back());
+    }
+    tensor::set_gemm_parallelism(true);
+    const Spread in = spread_of(inline_us);
+    const Spread fo = spread_of(fanned_us);
+    const Spread sp = spread_of(speedup);
+    table.add_row({std::to_string(batch), Table::num(in.median, 1),
+                   Table::num(fo.median, 1), Table::num(sp.median, 2),
+                   Table::num(sp.q1, 2), Table::num(sp.q3, 2)});
+    json << "    {\"batch\": " << batch << ", \"inline_us\": " << in.median
+         << ", \"fanout_us\": " << fo.median
+         << ", \"speedup\": " << sp.median << ", \"speedup_q1\": " << sp.q1
+         << ", \"speedup_q3\": " << sp.q3 << "}" << (bi + 1 < 3 ? "," : "")
+         << "\n";
+  }
+  json << "  ]},\n";
+  return table;
 }
 
 void emit_bench_gemm_json() {
@@ -400,6 +480,8 @@ void emit_bench_gemm_json() {
   }
   json << "  ],\n";
 
+  const Table ftable = emit_decode_fanout(json);
+
   // Uplink cost of the int8 decode path at the serving latent width: a
   // float32 latent is 4 bytes/element; the kFixed8 payload is an 8-byte
   // [min, max] header plus one code byte per element, decoded inside the
@@ -427,6 +509,8 @@ void emit_bench_gemm_json() {
   table.print(std::cout);
   std::cout << "\n";
   ptable.print(std::cout);
+  std::cout << "\n";
+  ftable.print(std::cout);
   std::cout << "\n";
   utable.print(std::cout);
   std::cout << "\nwrote BENCH_gemm.json\n\n";

@@ -1,7 +1,6 @@
 #include "common/thread_pool.h"
 
 #include <algorithm>
-#include <atomic>
 
 namespace orco::common {
 
@@ -36,55 +35,6 @@ void ThreadPool::worker_loop() {
     }
     task();
   }
-}
-
-void ThreadPool::parallel_for(
-    std::size_t begin, std::size_t end,
-    const std::function<void(std::size_t, std::size_t)>& fn) {
-  if (begin >= end) return;
-  const std::size_t n = end - begin;
-  const std::size_t chunks = std::min(n, workers_.size());
-  if (chunks <= 1) {
-    fn(begin, end);
-    return;
-  }
-  const std::size_t chunk_size = (n + chunks - 1) / chunks;
-
-  std::atomic<std::size_t> remaining{0};
-  Mutex done_mu;
-  std::condition_variable done_cv;
-
-  std::size_t launched = 0;
-  {
-    MutexLock lock(mu_);
-    for (std::size_t c = 0; c < chunks; ++c) {
-      const std::size_t lo = begin + c * chunk_size;
-      if (lo >= end) break;
-      const std::size_t hi = std::min(end, lo + chunk_size);
-      ++launched;
-      tasks_.emplace([&, lo, hi] {
-        fn(lo, hi);
-        if (remaining.fetch_sub(1, std::memory_order_acq_rel) == 1) {
-          MutexLock done_lock(done_mu);
-          done_cv.notify_one();
-        }
-      });
-    }
-    remaining.store(launched, std::memory_order_release);
-  }
-  cv_.notify_all();
-
-  MutexLock done_lock(done_mu);
-  while (remaining.load(std::memory_order_acquire) != 0) {
-    done_cv.wait(done_lock.native());
-  }
-}
-
-ThreadPool& ThreadPool::global() {
-  // Deliberately leaked (see header): keeps the pool alive through static
-  // destruction so late users never touch a joined pool.
-  static ThreadPool* pool = new ThreadPool();
-  return *pool;
 }
 
 }  // namespace orco::common

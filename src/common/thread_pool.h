@@ -1,10 +1,7 @@
-// A small fixed-size thread pool with parallel_for and future-returning
-// task submission.
-//
-// Used by the tensor GEMM/conv kernels at bench scale and as the worker
-// substrate of the serving runtime (src/serve). The pool is optional for
-// loops: parallel_for falls back to a serial loop when the pool is null or
-// the range is small, which keeps unit tests deterministic and cheap.
+// A small fixed-size thread pool with future-returning task submission:
+// the worker substrate of the serving runtime (src/serve), one
+// long-running task per shard worker. Kernels split their loops over
+// common::FanOut (common/fan_out.h) instead.
 #pragma once
 
 #include <condition_variable>
@@ -35,11 +32,6 @@ class ThreadPool {
 
   std::size_t size() const noexcept { return workers_.size(); }
 
-  /// Runs fn(begin..end) split into roughly `size()` contiguous chunks and
-  /// blocks until all chunks finish. fn receives [chunk_begin, chunk_end).
-  void parallel_for(std::size_t begin, std::size_t end,
-                    const std::function<void(std::size_t, std::size_t)>& fn);
-
   /// Enqueues a task and returns a future for its result. Exceptions thrown
   /// by the task are captured and rethrown from future::get(). Long-running
   /// tasks (e.g. serve-shard worker loops) occupy a worker until they
@@ -61,13 +53,6 @@ class ThreadPool {
     return future;
   }
 
-  /// Process-wide pool, lazily constructed on first use and intentionally
-  /// never destroyed: joining workers from a static destructor races with
-  /// other static teardown (a later destructor calling global() would touch
-  /// a dead pool). Leaking keeps global() valid for the whole process; the
-  /// OS reclaims the threads at exit.
-  static ThreadPool& global();
-
  private:
   void worker_loop();
 
@@ -77,22 +62,5 @@ class ThreadPool {
   std::condition_variable cv_;
   bool stop_ ORCO_GUARDED_BY(mu_) = false;
 };
-
-/// Dispatch helper for optional pools: a null pool or a sub-grain range
-/// runs `fn` inline. A template rather than a std::function signature on
-/// purpose — type-erasing the lambda would heap-allocate its capture on
-/// every call, and this sits on the steady-state decode path whose
-/// zero-allocation contract (tensor/workspace.h) forbids exactly that.
-/// The pooled branch still erases (ThreadPool::parallel_for submits
-/// chunks), which is fine: crossing threads allocates regardless.
-template <typename F>
-void parallel_for(ThreadPool* pool, std::size_t begin, std::size_t end,
-                  std::size_t grain, F&& fn) {
-  if (pool == nullptr || end - begin < grain) {
-    if (begin < end) fn(begin, end);
-    return;
-  }
-  pool->parallel_for(begin, end, fn);
-}
 
 }  // namespace orco::common

@@ -8,8 +8,8 @@
 #include <vector>
 
 #include "common/check.h"
+#include "common/fan_out.h"
 #include "common/logging.h"
-#include "common/thread_pool.h"
 #include "obs/metrics.h"
 #include "tensor/gemm_panels.h"
 
@@ -20,11 +20,16 @@ namespace {
 std::atomic<bool> g_parallel{true};
 thread_local bool t_parallel = true;
 
-// Minimum row*col product before we bother waking the thread pool.
-constexpr std::size_t kParallelThreshold = 64 * 1024;
+// Multiply-accumulates below which a GEMM runs inline: waking helpers and
+// splitting the work costs more than it saves. A batch-32 serving decode
+// clears it on every layer (the smallest, 32x128x456, is 1.87M MACs); a
+// batch-1 decode never does (the largest, 456x784, is 0.36M).
+constexpr std::size_t kFanOutMacs = std::size_t{1} << 20;
+
+// Rows per fanned-out chunk of the reference kernel.
+constexpr std::size_t kRefChunkRows = 8;
 
 using detail::apply_act;
-using detail::gemm_pool;
 
 // ---------------------------------------------------------------------------
 // Reference backend: the original ikj streaming kernel. The k-loop is
@@ -52,10 +57,12 @@ class ReferenceBackend final : public Backend {
 
   void gemm(const float* a, const float* b, float* c, std::size_t m,
             std::size_t k, std::size_t n) const override {
-    common::parallel_for(gemm_pool(m, n), 0, m, /*grain=*/8,
-                         [&](std::size_t lo, std::size_t hi) {
-                           ref_gemm_rows(a, b, c, lo, hi, k, n);
-                         });
+    const auto rows = [&](std::size_t chunk) {
+      const std::size_t lo = chunk * kRefChunkRows;
+      ref_gemm_rows(a, b, c, lo, std::min(m, lo + kRefChunkRows), k, n);
+    };
+    detail::run_units(detail::gemm_fans_out(m, n, k),
+                      (m + kRefChunkRows - 1) / kRefChunkRows, rows);
   }
 
   // The transposed layouts materialise the transpose and stream, keeping
@@ -455,10 +462,10 @@ bool thread_gemm_parallelism() { return t_parallel; }
 
 namespace detail {
 
-common::ThreadPool* gemm_pool(std::size_t m, std::size_t n) {
-  return (g_parallel.load() && t_parallel && m * n >= kParallelThreshold)
-             ? &common::ThreadPool::global()
-             : nullptr;
+bool gemm_fans_out(std::size_t m, std::size_t n, std::size_t k) {
+  return t_parallel && m * n * k >= kFanOutMacs &&
+         g_parallel.load(std::memory_order_relaxed) &&
+         common::FanOut::global().helpers() > 0;
 }
 
 }  // namespace detail

@@ -216,21 +216,23 @@ class BackendScope {
 void apply_epilogue(float* c, std::size_t m, std::size_t n,
                     const Epilogue& epilogue);
 
-/// Enables/disables thread-pool parallelism for GEMM (default on). Tests
-/// that need bit-exact serial reductions can turn it off. (Row-partitioned
-/// parallelism never changes values — this exists for determinism of
-/// scheduling-sensitive measurements.)
+/// Enables/disables GEMM parallelism process-wide (default on). A GEMM of
+/// at least 2^20 multiply-accumulates then spreads its work units over
+/// common::FanOut::global(), the calling thread working alongside the
+/// helpers: kNr-wide column strips on the panel backends (times row blocks
+/// past one kMc block), 8-row blocks on "reference". Units write disjoint
+/// tiles and every output element keeps its one ascending-k chain, so
+/// parallelism never changes a value; turning it off exists for
+/// scheduling-sensitive measurements.
 void set_gemm_parallelism(bool enabled);
 bool gemm_parallelism();
 
-/// Per-thread opt-out from pooled GEMM parallelism: kernels invoked from a
-/// thread that disabled it run inline on that thread instead of borrowing
-/// the shared pool's workers. train::TrainerRuntime turns this off on its
+/// Per-thread opt-out from GEMM parallelism: kernels invoked from a thread
+/// that disabled it run inline on that thread instead of borrowing the
+/// fan-out's helpers. train::TrainerRuntime turns this off on its
 /// (deprioritized) worker threads so background fine-tuning compute
-/// inherits their scheduling priority — routed through the normal-priority
-/// pool it would preempt serve decode batches and head-of-line-block the
-/// pool queue. Values are unchanged either way (row partitioning never
-/// alters a reduction). Default on.
+/// inherits their scheduling priority and never occupies the helpers a
+/// serving decode would use. Values are unchanged either way. Default on.
 void set_thread_gemm_parallelism(bool enabled);
 bool thread_gemm_parallelism();
 

@@ -29,7 +29,7 @@
 // Numerical contract (inherited by every instantiation): each output
 // element is ONE sequential reduction chain in ascending k order — the
 // driver seeds tiles from C and visits k panels in order — so results are
-// independent of m, n, tile position and thread count. Whether two
+// independent of m, n, tile position, work split and thread count. Whether two
 // backends agree bitwise is then decided solely by their tile() arithmetic
 // (the blocked tile's separate mul+add vs the simd tile's FMA).
 #pragma once
@@ -39,15 +39,32 @@
 #include <cstdint>
 #include <vector>
 
-#include "common/thread_pool.h"
+#include "common/fan_out.h"
 #include "tensor/backend.h"
 
 namespace orco::tensor::detail {
 
-/// The pool GEMMs row-parallelise on, or nullptr when the problem is small
-/// or parallelism is disabled (set_gemm_parallelism /
-/// set_thread_gemm_parallelism). Defined in backend.cpp.
-common::ThreadPool* gemm_pool(std::size_t m, std::size_t n);
+/// Whether an (m x k) · (k x n) GEMM issued on this thread spreads its
+/// work units over common::FanOut::global(): parallelism is on process-wide
+/// and on this thread (set_gemm_parallelism /
+/// set_thread_gemm_parallelism), the process has helper threads, and the
+/// GEMM has at least the fan-out floor of multiply-accumulates. Defined in
+/// backend.cpp.
+bool gemm_fans_out(std::size_t m, std::size_t n, std::size_t k);
+
+// ORCO_HOT_PATH BEGIN (GEMM dispatch: the unit callable is passed by
+// reference as a function pointer plus context, never type-erased)
+/// Runs unit(0) .. unit(units - 1): over the process fan-out when
+/// `fan_out`, else inline in ascending order. Units write disjoint outputs.
+template <class F>
+void run_units(bool fan_out, std::size_t units, F& unit) {
+  if (fan_out) {
+    common::FanOut::global().run(units, unit);
+    return;
+  }
+  for (std::size_t u = 0; u < units; ++u) unit(u);
+}
+// ORCO_HOT_PATH END
 
 constexpr std::size_t round_up(std::size_t v, std::size_t t) {
   return (v + t - 1) / t * t;
@@ -288,12 +305,22 @@ void pack_a_full(const Backend* owner, const float* a, std::size_t m,
   }
 }
 
-/// The panel walk: k split into kKc panels, n into kNc panels (B packed
-/// per (pc, jc) into kNr strips), rows into kMc blocks (A packed into kMr
-/// strips, parallelised over blocks), Traits::tile() on every micro-tile.
-/// packed_a / packed_b point at pack_a_full/pack_b_full layouts; non-null
-/// skips the corresponding per-call packing. `epi` is applied on the last
-/// k panel only.
+/// The panel walk. k is split into kKc panels and n into kNc panels of
+/// kNr-wide column strips (B packed per (pc, jc) unless prepacked); rows
+/// are split into kMc blocks of kMr-tall strips (A packed per block unless
+/// prepacked); Traits::tile() runs on every micro-tile. `epi` is applied on
+/// the last k panel only. packed_a / packed_b point at pack_a_full /
+/// pack_b_full layouts; non-null skips the corresponding per-call packing.
+///
+/// Work is split over the process fan-out when gemm_fans_out() allows:
+///   * m <= kMc with B prepacked (every serving decode GEMM): A is packed
+///     once for all k panels, then the unit of work is one kNr column strip
+///     taken through every k panel — one fan-out job per GEMM;
+///   * otherwise, per (pc, jc) panel: units are (row block x group of
+///     column strips), enough of them to keep every worker busy.
+/// Units write disjoint tiles, and each tile still reduces its k panels in
+/// ascending order seeded from C, so the split never changes a value: the
+/// fanned-out result is bitwise the inline one.
 template <class Traits>
 void panel_run(const AView& a, const float* b, std::size_t ldb, bool tb,
                float* c, std::size_t m, std::size_t k, std::size_t n,
@@ -305,17 +332,57 @@ void panel_run(const AView& a, const float* b, std::size_t ldb, bool tb,
   constexpr std::size_t kMc = Traits::kMc;
   constexpr std::size_t kNc = Traits::kNc;
   static_assert(kMc % kMr == 0, "row blocks must be whole micro-tiles");
+  static_assert(kNc % kNr == 0, "column panels must be whole strips");
   if (m == 0 || n == 0) return;
   if (k == 0) {
     if (epi) apply_epilogue(c, m, n, *epi);
     return;
   }
+  const bool fan_out = gemm_fans_out(m, n, k);
+  const std::size_t a_rows = round_up(m, kMr);  // A floats per k step
+
+  if (m <= kMc && packed_b != nullptr) {
+    // Every k panel of the prepacked B covers all round_up(n, kNr) columns
+    // (kNc is a whole number of strips), and k panel pc starts pc full
+    // panels in, so the strip at column j0 of panel pc sits at
+    // b_cols*pc + j0*kc. The packed A panel of pc starts a_rows*pc in.
+    const float* ap = packed_a;
+    if (ap == nullptr) {
+      thread_local std::vector<float> a_all;  // grows once, then reused
+      a_all.resize(a_rows * k);
+      for (std::size_t pc = 0; pc < k; pc += kKc) {
+        const std::size_t kc = k - pc < kKc ? k - pc : kKc;
+        pack_a_panel<kMr>(a, 0, pc, m, kc, a_all.data() + a_rows * pc);
+      }
+      ap = a_all.data();
+    }
+    const std::size_t b_cols = round_up(n, kNr);
+    const auto strip = [&](std::size_t s) {
+      const std::size_t j0 = s * kNr;
+      const std::size_t cols = n - j0 < kNr ? n - j0 : kNr;
+      for (std::size_t pc = 0; pc < k; pc += kKc) {
+        const std::size_t kc = k - pc < kKc ? k - pc : kKc;
+        const Epilogue* tile_epi = (epi && pc + kc == k) ? epi : nullptr;
+        const float* apan = ap + a_rows * pc;
+        const float* bpan = packed_b + b_cols * pc + j0 * kc;
+        for (std::size_t ir = 0; ir < m; ir += kMr) {
+          const std::size_t rows = m - ir < kMr ? m - ir : kMr;
+          Traits::tile(apan + ir * kc, bpan, kc, c + ir * n + j0, n, rows,
+                       cols, tile_epi, ir, j0);
+        }
+      }
+    };
+    run_units(fan_out, b_cols / kNr, strip);
+    return;
+  }
+
   thread_local std::vector<float> bp_buf;
   std::size_t b_off = 0;   // walk of the prepacked B panels (pc-major)
   std::size_t a_base = 0;  // prepacked A offset of the current k panel
+  const std::size_t row_blocks = (m + kMc - 1) / kMc;
   for (std::size_t pc = 0; pc < k; pc += kKc) {
     const std::size_t kc = k - pc < kKc ? k - pc : kKc;
-    const bool last_panel = pc + kc == k;
+    const Epilogue* tile_epi = (epi && pc + kc == k) ? epi : nullptr;
     for (std::size_t jc = 0; jc < n; jc += kNc) {
       const std::size_t nc = n - jc < kNc ? n - jc : kNc;
       const float* bp;
@@ -328,40 +395,49 @@ void panel_run(const AView& a, const float* b, std::size_t ldb, bool tb,
       }
       b_off += round_up(nc, kNr) * kc;
 
-      const std::size_t row_blocks = (m + kMc - 1) / kMc;
-      common::parallel_for(
-          gemm_pool(m, n), 0, row_blocks, /*grain=*/1,
-          [&](std::size_t blk0, std::size_t blk1) {
-            thread_local std::vector<float> ap_buf;
-            for (std::size_t blk = blk0; blk < blk1; ++blk) {
-              const std::size_t ic = blk * kMc;
-              const std::size_t mc = m - ic < kMc ? m - ic : kMc;
-              const float* apan;
-              if (packed_a != nullptr) {
-                // Block `blk` starts ic rows into the panel; full blocks
-                // are kMr-aligned (kMc % kMr == 0), so its offset is
-                // exactly ic*kc floats past the panel base.
-                apan = packed_a + a_base + ic * kc;
-              } else {
-                ap_buf.resize(round_up(mc, kMr) * kc);
-                pack_a_panel<kMr>(a, ic, pc, mc, kc, ap_buf.data());
-                apan = ap_buf.data();
-              }
-              for (std::size_t jr = 0; jr < nc; jr += kNr) {
-                const float* bpan = bp + (jr / kNr) * (kNr * kc);
-                const std::size_t cols = nc - jr < kNr ? nc - jr : kNr;
-                for (std::size_t ir = 0; ir < mc; ir += kMr) {
-                  const std::size_t rows = mc - ir < kMr ? mc - ir : kMr;
-                  Traits::tile(apan + (ir / kMr) * (kMr * kc), bpan, kc,
-                               c + (ic + ir) * n + jc + jr, n, rows, cols,
-                               (epi && last_panel) ? epi : nullptr, ic + ir,
-                               jc + jr);
-                }
-              }
-            }
-          });
+      // Inline, a unit is a whole row block (A packed once per block);
+      // fanned out, the strips are grouped so that about four units per
+      // worker balance the load, each group repacking its row block.
+      const std::size_t strips = (nc + kNr - 1) / kNr;
+      std::size_t per_group = strips;
+      if (fan_out) {
+        const std::size_t want = 4 * (common::FanOut::global().helpers() + 1);
+        const std::size_t groups =
+            row_blocks >= want ? 1 : (want + row_blocks - 1) / row_blocks;
+        per_group = (strips + groups - 1) / groups;
+      }
+      const std::size_t groups = (strips + per_group - 1) / per_group;
+      const auto unit = [&](std::size_t u) {
+        thread_local std::vector<float> ap_buf;
+        const std::size_t ic = (u / groups) * kMc;
+        const std::size_t mc = m - ic < kMc ? m - ic : kMc;
+        const float* apan;
+        if (packed_a != nullptr) {
+          // Block u/groups starts ic rows into the panel; full blocks are
+          // kMr-aligned (kMc % kMr == 0), so its offset is exactly ic*kc
+          // floats past the panel base.
+          apan = packed_a + a_base + ic * kc;
+        } else {
+          ap_buf.resize(round_up(mc, kMr) * kc);
+          pack_a_panel<kMr>(a, ic, pc, mc, kc, ap_buf.data());
+          apan = ap_buf.data();
+        }
+        const std::size_t s0 = (u % groups) * per_group;
+        const std::size_t s1 = s0 + per_group < strips ? s0 + per_group : strips;
+        for (std::size_t s = s0; s < s1; ++s) {
+          const std::size_t jr = s * kNr;
+          const float* bpan = bp + jr * kc;
+          const std::size_t cols = nc - jr < kNr ? nc - jr : kNr;
+          for (std::size_t ir = 0; ir < mc; ir += kMr) {
+            const std::size_t rows = mc - ir < kMr ? mc - ir : kMr;
+            Traits::tile(apan + ir * kc, bpan, kc, c + (ic + ir) * n + jc + jr,
+                         n, rows, cols, tile_epi, ic + ir, jc + jr);
+          }
+        }
+      };
+      run_units(fan_out, row_blocks * groups, unit);
     }
-    a_base += round_up(m, kMr) * kc;
+    a_base += a_rows * kc;
   }
 }
 

@@ -1,9 +1,9 @@
 // GEMM entry points. The dense layers and the im2col-based convolutions
 // reduce to these; every call routes through the pluggable kernel backend
 // selected via tensor/backend.h (reference ikj kernel or blocked/packed
-// cache-tiled kernel). Large problems are row-parallelised via the global
-// thread pool; small problems run serially so unit tests are deterministic
-// and cheap.
+// cache-tiled kernel). Problems of at least 2^20 multiply-accumulates
+// spread over the process GEMM fan-out (common/fan_out.h) with values
+// bitwise equal to the inline run; smaller ones run inline.
 #pragma once
 
 #include "tensor/backend.h"

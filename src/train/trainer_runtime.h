@@ -69,20 +69,22 @@ struct TrainerConfig {
   /// what keeps serve tail latency flat on core-starved boxes: a training
   /// round can outlast the whole p99 budget.
   int background_nice = 19;
-  /// Run training kernels inline on the worker thread instead of the
-  /// shared GEMM pool (tensor::set_thread_gemm_parallelism). Default on:
-  /// pooled training GEMM chunks execute at the pool workers' normal
-  /// priority and head-of-line-block serve decode batches, defeating both
-  /// budgets above. Turn off only for offline bulk training where trainer
-  /// throughput matters more than serve tails.
+  /// Run training kernels inline on the worker thread instead of over the
+  /// process GEMM fan-out (tensor::set_thread_gemm_parallelism). Default
+  /// on: fanned-out training GEMM chunks would run on the fan-out helpers
+  /// at normal priority and hold the fan-out a serve decode batch would
+  /// use, defeating both budgets above. Turn off only for offline bulk
+  /// training where trainer throughput matters more than serve tails.
   bool inline_kernels = true;
   /// Publish a snapshot of the tenant's current weights at register_tenant
   /// time, so serving flips to the lock-free registry path immediately.
   bool publish_on_register = true;
-  /// Kernel backend published snapshots are pre-warmed (pre-packed) for —
-  /// set it to the consuming ServeConfig::backend so the first post-swap
-  /// decode pays no packing cost (the pack cache keeps one backend's
-  /// panels). Empty: the tenant's own backend, else the process default.
+  /// Kernel backend a published snapshot's InferPlan is compiled (and its
+  /// weights packed) for — set it to the consuming ServeConfig::backend:
+  /// a plan's packed panels serve only the backend that packed them, so
+  /// the first post-swap decode then pays no packing cost. A tenant's own
+  /// backend takes precedence; empty with neither set: the process
+  /// default.
   std::string serve_backend;
 };
 

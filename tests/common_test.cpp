@@ -1,17 +1,18 @@
-// Unit tests for src/common: RNG, thread pool, serialisation, tables, checks.
+// Unit tests for src/common: RNG, fan-out, serialisation, tables, checks.
 #include <gtest/gtest.h>
 
+#include <atomic>
 #include <cmath>
 #include <numeric>
 #include <set>
 #include <sstream>
 
 #include "common/check.h"
+#include "common/fan_out.h"
 #include "common/rng.h"
 #include "common/serialize.h"
 #include "common/stopwatch.h"
 #include "common/table.h"
-#include "common/thread_pool.h"
 
 namespace orco::common {
 namespace {
@@ -141,38 +142,20 @@ TEST(ShuffledIndicesTest, ActuallyShuffles) {
   EXPECT_NE(idx, sorted);
 }
 
-TEST(ThreadPoolTest, ParallelForCoversRangeExactlyOnce) {
-  ThreadPool pool(4);
+TEST(FanOutTest, RunCoversEveryChunkExactlyOnce) {
+  FanOut fan(3);
   std::vector<std::atomic<int>> hits(1000);
-  pool.parallel_for(0, 1000, [&](std::size_t lo, std::size_t hi) {
-    for (std::size_t i = lo; i < hi; ++i) hits[i].fetch_add(1);
-  });
+  auto visit = [&](std::size_t i) { hits[i].fetch_add(1); };
+  fan.run(hits.size(), visit);
   for (const auto& h : hits) EXPECT_EQ(h.load(), 1);
 }
 
-TEST(ThreadPoolTest, EmptyRangeIsNoop) {
-  ThreadPool pool(2);
-  bool called = false;
-  pool.parallel_for(5, 5, [&](std::size_t, std::size_t) { called = true; });
-  EXPECT_FALSE(called);
-}
-
-TEST(ThreadPoolTest, HelperFallsBackToSerialBelowGrain) {
-  std::vector<int> hits(10, 0);
-  parallel_for(nullptr, 0, 10, 100,
-               [&](std::size_t lo, std::size_t hi) {
-                 for (std::size_t i = lo; i < hi; ++i) hits[i]++;
-               });
-  for (const auto h : hits) EXPECT_EQ(h, 1);
-}
-
-TEST(ThreadPoolTest, GlobalPoolIsReusable) {
-  auto& pool = ThreadPool::global();
+TEST(FanOutTest, GlobalFanOutIsReusable) {
+  auto& fan = FanOut::global();
   std::atomic<int> count{0};
-  pool.parallel_for(0, 64, [&](std::size_t lo, std::size_t hi) {
-    count.fetch_add(static_cast<int>(hi - lo));
-  });
-  EXPECT_EQ(count.load(), 64);
+  auto visit = [&](std::size_t) { count.fetch_add(1); };
+  for (int rep = 0; rep < 3; ++rep) fan.run(64, visit);
+  EXPECT_EQ(count.load(), 3 * 64);
 }
 
 TEST(SerializeTest, RoundTripsPods) {

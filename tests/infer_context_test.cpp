@@ -9,12 +9,14 @@
 // a measurement.
 #include <gtest/gtest.h>
 
+#include <atomic>
 #include <cstdint>
 #include <cstdlib>
 #include <memory>
 #include <new>
 #include <vector>
 
+#include "common/fan_out.h"
 #include "core/system.h"
 #include "nn/activations.h"
 #include "nn/conv2d.h"
@@ -34,9 +36,15 @@ namespace {
 
 thread_local bool t_count_allocs = false;
 thread_local std::uint64_t t_alloc_count = 0;
+// Process-wide counting, for kernels that run on fan-out helper threads.
+std::atomic<bool> g_count_all_allocs{false};
+std::atomic<std::uint64_t> g_all_alloc_count{0};
 
 void* counted_alloc(std::size_t size) {
   if (t_count_allocs) ++t_alloc_count;
+  if (g_count_all_allocs.load(std::memory_order_relaxed)) {
+    g_all_alloc_count.fetch_add(1, std::memory_order_relaxed);
+  }
   if (void* p = std::malloc(size)) return p;
   throw std::bad_alloc();
 }
@@ -68,6 +76,18 @@ class CountAllocs {
   }
   ~CountAllocs() { t_count_allocs = false; }
   static std::uint64_t count() { return t_alloc_count; }
+};
+
+/// Arms the allocation counter on every thread (callers and fan-out
+/// helpers alike) for its scope.
+class CountAllThreadAllocs {
+ public:
+  CountAllThreadAllocs() {
+    g_all_alloc_count.store(0);
+    g_count_all_allocs.store(true);
+  }
+  ~CountAllThreadAllocs() { g_count_all_allocs.store(false); }
+  static std::uint64_t count() { return g_all_alloc_count.load(); }
 };
 
 /// Serial, blocked-backend kernels for deterministic measurements: no pool
@@ -317,6 +337,51 @@ TEST(ZeroAllocTest, WarmedPlanExecutorMakesNoHeapAllocations) {
     q_small_allocs = CountAllocs::count();
   }
   EXPECT_EQ(q_small_allocs, 0u);
+}
+
+TEST(ZeroAllocTest, WarmedBatch32PlanFansOutWithoutHeapAllocations) {
+  // A full round through the serving decoder shape with parallelism on:
+  // every GEMM clears the fan-out floor, so every one is dispatched to the
+  // helpers, and after warmup no thread — caller or helper — allocates.
+  common::FanOut& fan = common::FanOut::global();
+  if (fan.helpers() == 0) GTEST_SKIP() << "no fan-out helpers on this host";
+  tensor::BackendScope kernels(&tensor::simd_backend());
+  common::Pcg32 rng(53);
+  nn::Sequential model;
+  model.emplace<nn::Dense>(128, 456, rng);
+  model.emplace<nn::ReLU>();
+  model.emplace<nn::Dense>(456, 456, rng);
+  model.emplace<nn::ReLU>();
+  model.emplace<nn::Dense>(456, 784, rng);
+  model.emplace<nn::Sigmoid>();
+  const auto plan = nn::InferPlan::compile(model);
+  InferContext ctx;
+  Tensor out;
+  const Tensor x = Tensor::randn({32, 128}, rng);
+  std::vector<std::uint8_t> codes(32 * 128);
+  for (std::size_t i = 0; i < codes.size(); ++i) {
+    codes[i] = static_cast<std::uint8_t>((i * 29 + 3) & 0xFF);
+  }
+  std::vector<float> lo(32, -1.0f), scale(32, 2.0f / 255.0f);
+  const tensor::QuantHeader qh{lo.data(), scale.data()};
+  for (int i = 0; i < 2; ++i) {
+    plan->run(x, out, ctx);
+    plan->run_quantized(codes.data(), qh, 32, 128, out, ctx);
+  }
+
+  const std::uint64_t jobs_before = fan.jobs_dispatched();
+  std::uint64_t allocs = 0;
+  {
+    CountAllThreadAllocs counter;
+    for (int i = 0; i < 16; ++i) {
+      plan->run(x, out, ctx);
+      plan->run_quantized(codes.data(), qh, 32, 128, out, ctx);
+    }
+    allocs = CountAllThreadAllocs::count();
+  }
+  EXPECT_EQ(allocs, 0u);
+  EXPECT_EQ(fan.jobs_dispatched() - jobs_before, 16u * 2u * 3u);
+  EXPECT_EQ(out.dim(1), 784u);
 }
 
 TEST(ZeroAllocTest, WarmedConvPlanExecutorMakesNoHeapAllocations) {

@@ -4,13 +4,17 @@
 // with the unfused layer-by-layer oracle (unfused_oracle.h) across all
 // three backends and odd shapes, foreign-backend fallbacks for the float
 // and int8 entries, all-identity chains, nested-chain flattening,
-// weight-staleness detection, and the precomputed arena high-water.
+// weight-staleness detection, the precomputed arena high-water, and
+// concurrent decoders sharing the GEMM fan-out.
 #include <gtest/gtest.h>
 
+#include <atomic>
 #include <cstdint>
 #include <memory>
+#include <thread>
 #include <vector>
 
+#include "common/fan_out.h"
 #include "common/rng.h"
 #include "nn/activations.h"
 #include "nn/conv2d.h"
@@ -413,6 +417,60 @@ TEST(InferPlanTest, MultiOpPlanRejectsContextBufferOutput) {
   InferContext ctx;
   const Tensor x = Tensor::randn({2, 8}, rng);
   EXPECT_THROW(plan->run(x, ctx.buffer(1), ctx), std::invalid_argument);
+}
+
+TEST(InferPlanStressTest, ConcurrentFannedOutDecodersStayBitwiseSerial) {
+  // Three threads decode batch-32 rounds through one shared plan while a
+  // fourth decodes with its GEMMs pinned inline. Whichever thread holds
+  // the fan-out, the others run inline beside it; every output must equal
+  // the serial decode of the same input, bitwise, on every iteration.
+  common::Pcg32 rng(97);
+  nn::Sequential model;
+  model.emplace<nn::Dense>(96, 384, rng);  // 32x96x384 = 1.18M MACs
+  model.emplace<nn::ReLU>();
+  model.emplace<nn::Dense>(384, 200, rng);  // n = 200 ends in a part strip
+  model.emplace<nn::Sigmoid>();
+  const auto plan = InferPlan::compile(model, &tensor::simd_backend());
+
+  constexpr int kThreads = 4;
+  constexpr int kIterations = 2000;
+  std::vector<Tensor> inputs, serial(kThreads);
+  tensor::set_gemm_parallelism(false);
+  {
+    tensor::BackendScope scope(&tensor::simd_backend());
+    for (int t = 0; t < kThreads; ++t) {
+      inputs.push_back(Tensor::randn({32, 96}, rng));
+      InferContext ctx;
+      plan->run(inputs[t], serial[t], ctx);
+    }
+  }
+  tensor::set_gemm_parallelism(true);
+
+  common::FanOut& fan = common::FanOut::global();
+  const std::uint64_t jobs_before = fan.jobs_dispatched();
+  std::atomic<int> mismatches{0};
+  std::vector<std::thread> threads;
+  for (int t = 0; t < kThreads; ++t) {
+    threads.emplace_back([&, t] {
+      tensor::BackendScope scope(&tensor::simd_backend());
+      if (t == kThreads - 1) tensor::set_thread_gemm_parallelism(false);
+      InferContext ctx;
+      Tensor out;
+      for (int it = 0; it < kIterations; ++it) {
+        plan->run(inputs[t], out, ctx);
+        bool same = out.shape() == serial[t].shape();
+        for (std::size_t i = 0; same && i < out.numel(); ++i) {
+          same = out[i] == serial[t][i];
+        }
+        if (!same) mismatches.fetch_add(1);
+      }
+    });
+  }
+  for (auto& th : threads) th.join();
+  EXPECT_EQ(mismatches.load(), 0);
+  if (fan.helpers() > 0) {
+    EXPECT_GT(fan.jobs_dispatched(), jobs_before);
+  }
 }
 
 }  // namespace

@@ -5,14 +5,20 @@
 #include <gtest/gtest.h>
 
 #include <cmath>
+#include <cstdint>
+#include <vector>
 
+#include "common/fan_out.h"
 #include "nn/activations.h"
 #include "obs/metrics.h"
 #include "nn/conv2d.h"
 #include "nn/dense.h"
+#include "nn/infer_context.h"
+#include "nn/infer_plan.h"
 #include "nn/sequential.h"
 #include "tensor/backend.h"
 #include "tensor/matmul.h"
+#include "unfused_oracle.h"
 
 namespace {
 
@@ -492,6 +498,136 @@ TEST(FusedEpilogueTest, ActivationEpilogueMapping) {
   common::Pcg32 rng(40);
   nn::Dense dense(3, 2, rng);
   EXPECT_EQ(nn::activation_epilogue(dense, alpha), std::nullopt);
+}
+
+/// Every GEMM entry a panel backend drives through panel_run, run on one
+/// shape: on-the-fly B (NN accumulating into a seeded C, NT fused ReLU, TN),
+/// prepacked B with a fused Sigmoid, prepacked A with a row-bias ReLU, and
+/// the int8 A path. Same inputs every call.
+std::vector<std::vector<float>> run_panel_entries(const tensor::Backend& be,
+                                                  std::size_t m, std::size_t k,
+                                                  std::size_t n) {
+  common::Pcg32 rng(m * 1000003 + k * 1009 + n);
+  const Tensor a = Tensor::randn({m, k}, rng);
+  const Tensor at = Tensor::randn({k, m}, rng);
+  const Tensor b = Tensor::randn({k, n}, rng);
+  const Tensor w = Tensor::randn({n, k}, rng);  // (out, in) dense layout
+  const Tensor seed = Tensor::randn({m, n}, rng);
+  const Tensor col_bias = Tensor::randn({n}, rng);
+  const Tensor row_bias = Tensor::randn({m}, rng);
+  std::vector<std::uint8_t> codes(m * k);
+  for (std::size_t i = 0; i < codes.size(); ++i) {
+    codes[i] = static_cast<std::uint8_t>((i * 131u + 7u) & 0xFFu);
+  }
+  std::vector<float> lo(m), scale(m);
+  for (std::size_t i = 0; i < m; ++i) {
+    lo[i] = -0.5f - 0.01f * static_cast<float>(i);
+    scale[i] = (1.0f + 0.001f * static_cast<float>(i)) / 255.0f;
+  }
+  const tensor::PackedWeights packed_b =
+      be.pack_b(w.data().data(), k, n, /*transpose_b=*/true);
+  const tensor::PackedWeights packed_a = be.pack_a(a.data().data(), m, k);
+
+  tensor::Epilogue relu_col;
+  relu_col.bias = col_bias.data().data();
+  relu_col.act = tensor::EpilogueAct::kReLU;
+  tensor::Epilogue sigmoid_col = relu_col;
+  sigmoid_col.act = tensor::EpilogueAct::kSigmoid;
+  tensor::Epilogue relu_row;
+  relu_row.bias = row_bias.data().data();
+  relu_row.bias_per_row = true;
+  relu_row.act = tensor::EpilogueAct::kReLU;
+
+  std::vector<std::vector<float>> out(6);
+  out[0].assign(seed.data().begin(), seed.data().end());
+  be.gemm(a.data().data(), b.data().data(), out[0].data(), m, k, n);
+  out[1].resize(m * n);
+  be.gemm_fused(a.data().data(), w.data().data(), out[1].data(), m, k, n,
+                /*transpose_b=*/true, relu_col);
+  out[2].assign(m * n, 0.0f);
+  be.gemm_tn(at.data().data(), b.data().data(), out[2].data(), m, k, n);
+  out[3].resize(m * n);
+  be.gemm_prepacked(a.data().data(), packed_b, out[3].data(), m, k, n,
+                    sigmoid_col);
+  out[4].resize(m * n);
+  be.gemm_prepacked(b.data().data(), packed_a, out[4].data(), m, k, n,
+                    relu_row);
+  out[5].resize(m * n);
+  be.gemm_quantized(codes.data(), {lo.data(), scale.data()}, packed_b,
+                    out[5].data(), m, k, n, sigmoid_col);
+  return out;
+}
+
+TEST(FanOutParityTest, FannedOutGemmsMatchInlineBitwise) {
+  // m spans one row, a partial micro-tile, a full serving batch, one past
+  // it and past one row block; n = 1100 crosses kNc and k = 456 crosses
+  // kKc. The GEMMs of at least 2^20 multiply-accumulates fan out.
+  const std::size_t ms[] = {1, 7, 32, 33, 129};
+  const std::size_t ns[] = {8, 456, 784, 1100};
+  const std::size_t ks[] = {128, 456};
+  const char* entries[] = {"gemm", "gemm_fused nt", "gemm_tn",
+                           "gemm_prepacked B", "gemm_prepacked A",
+                           "gemm_quantized"};
+  common::FanOut& fan = common::FanOut::global();
+  for (const char* name : {"blocked", "simd"}) {
+    const tensor::Backend& be = *tensor::find_backend(name);
+    for (const std::size_t m : ms) {
+      for (const std::size_t n : ns) {
+        for (const std::size_t k : ks) {
+          tensor::set_gemm_parallelism(false);
+          const std::uint64_t before_inline = fan.jobs_dispatched();
+          const auto inline_out = run_panel_entries(be, m, k, n);
+          EXPECT_EQ(fan.jobs_dispatched(), before_inline);
+          tensor::set_gemm_parallelism(true);
+          const std::uint64_t before = fan.jobs_dispatched();
+          const auto fanned = run_panel_entries(be, m, k, n);
+          if (fan.helpers() > 0) {
+            EXPECT_EQ(fan.jobs_dispatched() > before, m * n * k >= (1u << 20))
+                << name << " " << m << "x" << k << "x" << n;
+          }
+          for (std::size_t e = 0; e < fanned.size(); ++e) {
+            ASSERT_EQ(fanned[e].size(), inline_out[e].size());
+            for (std::size_t i = 0; i < fanned[e].size(); ++i) {
+              ASSERT_EQ(fanned[e][i], inline_out[e][i])
+                  << name << " " << entries[e] << " " << m << "x" << k << "x"
+                  << n << " element " << i;
+            }
+          }
+        }
+      }
+    }
+  }
+}
+
+TEST(FanOutParityTest, Batch32PlanMatchesSerialUnfusedOracle) {
+  // The serving decoder (128 -> 456 -> 456 -> 784) at a full round: every
+  // plan GEMM fans out, the oracle runs serially, unfused and unpacked.
+  common::Pcg32 rng(61);
+  nn::Sequential model;
+  model.emplace<nn::Dense>(128, 456, rng);
+  model.emplace<nn::ReLU>();
+  model.emplace<nn::Dense>(456, 456, rng);
+  model.emplace<nn::ReLU>();
+  model.emplace<nn::Dense>(456, 784, rng);
+  model.emplace<nn::Sigmoid>();
+  const Tensor x = Tensor::randn({32, 128}, rng);
+  common::FanOut& fan = common::FanOut::global();
+  for (const char* name : kAllBackends) {
+    const tensor::Backend* backend = tensor::find_backend(name);
+    tensor::BackendScope scope(backend);
+    tensor::set_gemm_parallelism(false);
+    const Tensor want = oracle::unfused_infer(model, x);
+    tensor::set_gemm_parallelism(true);
+    const auto plan = nn::InferPlan::compile(model, backend);
+    nn::InferContext ctx;
+    Tensor got;
+    const std::uint64_t before = fan.jobs_dispatched();
+    plan->run(x, got, ctx);
+    if (fan.helpers() > 0) {
+      EXPECT_GE(fan.jobs_dispatched(), before + 3) << name;
+    }
+    ExpectBitwiseEqual(got, want, name, Shape{32, 128, 784});
+  }
 }
 
 }  // namespace

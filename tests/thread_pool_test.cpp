@@ -1,89 +1,183 @@
-// Dedicated coverage for common/thread_pool: parallel_for chunking
-// boundaries, the serial fallback of the free helper, and the
-// future-returning submit() path the serving runtime depends on.
+// Dedicated coverage for the two concurrency substrates in common/: the
+// kernels' caller-participating FanOut (chunk coverage at boundary counts,
+// the inline fallbacks, the one-job-at-a-time rule, concurrent callers) and
+// the ThreadPool's future-returning submit() the serving runtime depends
+// on.
 #include <gtest/gtest.h>
 
+#include <algorithm>
 #include <atomic>
-#include <chrono>
 #include <numeric>
 #include <stdexcept>
 #include <thread>
 #include <vector>
 
+#include "common/fan_out.h"
 #include "common/thread_pool.h"
 
 namespace orco::common {
 namespace {
 
-// Every index in [begin, end) must be visited exactly once, whatever the
-// relation between trip count and worker count.
-void expect_exact_coverage(ThreadPool& pool, std::size_t begin,
-                           std::size_t end) {
-  std::vector<std::atomic<int>> hits(end);
-  pool.parallel_for(begin, end, [&](std::size_t lo, std::size_t hi) {
-    ASSERT_LE(lo, hi);
-    for (std::size_t i = lo; i < hi; ++i) hits[i].fetch_add(1);
-  });
-  for (std::size_t i = 0; i < begin; ++i) EXPECT_EQ(hits[i].load(), 0);
-  for (std::size_t i = begin; i < end; ++i) {
-    EXPECT_EQ(hits[i].load(), 1) << "index " << i;
+// Every chunk index in [0, chunks) must run exactly once, whatever the
+// relation between chunk count and helper count.
+void expect_exact_coverage(FanOut& fan, std::size_t chunks) {
+  std::vector<std::atomic<int>> hits(chunks + 1);
+  auto visit = [&](std::size_t i) { hits[i].fetch_add(1); };
+  fan.run(chunks, visit);
+  for (std::size_t i = 0; i < chunks; ++i) {
+    EXPECT_EQ(hits[i].load(), 1) << "chunk " << i << " of " << chunks;
+  }
+  EXPECT_EQ(hits[chunks].load(), 0);
+}
+
+TEST(FanOutChunkingTest, CoversBoundaryChunkCounts) {
+  FanOut fan(3);
+  for (const std::size_t chunks : {1u, 2u, 3u, 4u, 5u, 17u, 1000u}) {
+    expect_exact_coverage(fan, chunks);
   }
 }
 
-TEST(ThreadPoolChunkingTest, CoversBoundaryTripCounts) {
-  ThreadPool pool(4);
-  expect_exact_coverage(pool, 0, 1);    // fewer items than workers
-  expect_exact_coverage(pool, 0, 3);    // n < workers
-  expect_exact_coverage(pool, 0, 4);    // n == workers
-  expect_exact_coverage(pool, 0, 5);    // n == workers + 1 (ragged last chunk)
-  expect_exact_coverage(pool, 0, 1000); // n >> workers
-  expect_exact_coverage(pool, 7, 8);    // single item, nonzero begin
-  expect_exact_coverage(pool, 13, 29);  // odd range, nonzero begin
+TEST(FanOutChunkingTest, SingleHelperStillCovers) {
+  FanOut fan(1);
+  expect_exact_coverage(fan, 17);
 }
 
-TEST(ThreadPoolChunkingTest, SingleWorkerPoolStillCovers) {
-  ThreadPool pool(1);
-  expect_exact_coverage(pool, 0, 17);
-}
-
-TEST(ThreadPoolChunkingTest, EmptyAndInvertedRangesAreNoops) {
-  ThreadPool pool(2);
+TEST(FanOutChunkingTest, ZeroChunksIsANoop) {
+  FanOut fan(2);
   bool called = false;
-  pool.parallel_for(5, 5, [&](std::size_t, std::size_t) { called = true; });
-  pool.parallel_for(9, 3, [&](std::size_t, std::size_t) { called = true; });
+  auto visit = [&](std::size_t) { called = true; };
+  fan.run(0, visit);
   EXPECT_FALSE(called);
+  EXPECT_EQ(fan.jobs_dispatched(), 0u);
 }
 
-TEST(ThreadPoolHelperTest, NullPoolRunsSerially) {
-  std::vector<int> hits(10, 0);
+TEST(FanOutInlineTest, NoHelpersRunsInAscendingOrderOnTheCaller) {
+  FanOut fan(0);
   const auto tid = std::this_thread::get_id();
+  std::vector<std::size_t> order;
   bool same_thread = true;
-  parallel_for(nullptr, 0, 10, /*grain=*/1, [&](std::size_t lo, std::size_t hi) {
+  auto visit = [&](std::size_t i) {
     same_thread = same_thread && std::this_thread::get_id() == tid;
-    for (std::size_t i = lo; i < hi; ++i) hits[i]++;
-  });
+    order.push_back(i);
+  };
+  fan.run(10, visit);
   EXPECT_TRUE(same_thread);
-  for (const auto h : hits) EXPECT_EQ(h, 1);
+  std::vector<std::size_t> expect(10);
+  std::iota(expect.begin(), expect.end(), std::size_t{0});
+  EXPECT_EQ(order, expect);
+  EXPECT_EQ(fan.jobs_dispatched(), 0u);
 }
 
-TEST(ThreadPoolHelperTest, BelowGrainFallsBackToOneSerialCall) {
-  ThreadPool pool(4);
-  int calls = 0;
-  parallel_for(&pool, 0, 9, /*grain=*/10, [&](std::size_t lo, std::size_t hi) {
-    ++calls;
-    EXPECT_EQ(lo, 0u);
-    EXPECT_EQ(hi, 9u);
-  });
-  EXPECT_EQ(calls, 1);
+TEST(FanOutInlineTest, SingleChunkRunsInlineWithoutWakingHelpers) {
+  FanOut fan(3);
+  const auto tid = std::this_thread::get_id();
+  std::thread::id ran_on;
+  auto visit = [&](std::size_t) { ran_on = std::this_thread::get_id(); };
+  fan.run(1, visit);
+  EXPECT_EQ(ran_on, tid);
+  EXPECT_EQ(fan.jobs_dispatched(), 0u);
 }
 
-TEST(ThreadPoolHelperTest, AtGrainUsesThePool) {
-  ThreadPool pool(4);
+TEST(FanOutDispatchTest, HelpersTakeChunksWhileTheCallerWorks) {
+  // The caller's first chunk blocks until some other thread has run a
+  // chunk, so the job can only finish if a helper joins in.
+  FanOut fan(2);
+  const auto tid = std::this_thread::get_id();
+  std::atomic<int> by_helpers{0};
+  auto visit = [&](std::size_t) {
+    if (std::this_thread::get_id() != tid) {
+      by_helpers.fetch_add(1);
+      return;
+    }
+    while (by_helpers.load() == 0) std::this_thread::yield();
+  };
+  fan.run(8, visit);
+  EXPECT_GE(by_helpers.load(), 1);
+  EXPECT_EQ(fan.jobs_dispatched(), 1u);
+}
+
+TEST(FanOutDispatchTest, ACallerMeetingABusyFanOutRunsInlineAtOnce) {
+  // While one job holds the fan-out (its chunk 0 is parked), a second
+  // caller must not wait for it: every chunk of its job runs inline.
+  FanOut fan(2);
+  std::atomic<bool> parked{false};
+  std::atomic<bool> release{false};
+  auto blocking = [&](std::size_t i) {
+    if (i != 0) return;
+    parked.store(true);
+    while (!release.load()) std::this_thread::yield();
+  };
+  std::thread owner([&] { fan.run(4, blocking); });
+  while (!parked.load()) std::this_thread::yield();
+
+  const auto tid = std::this_thread::get_id();
+  std::vector<std::size_t> order;
+  bool same_thread = true;
+  auto visit = [&](std::size_t i) {
+    same_thread = same_thread && std::this_thread::get_id() == tid;
+    order.push_back(i);
+  };
+  fan.run(6, visit);
+  EXPECT_TRUE(same_thread);
+  EXPECT_EQ(order, (std::vector<std::size_t>{0, 1, 2, 3, 4, 5}));
+  EXPECT_EQ(fan.jobs_dispatched(), 1u);
+
+  release.store(true);
+  owner.join();
+}
+
+TEST(FanOutDispatchTest, BackToBackJobsNeverRunAStaleChunk) {
+  // Many short jobs in a row, each with its own context: a helper that
+  // wakes late must never run a chunk against a finished job's context.
+  FanOut fan(3);
+  for (std::size_t job = 0; job < 2000; ++job) {
+    const std::size_t chunks = 1 + job % 7;
+    std::vector<std::atomic<int>> hits(chunks);
+    auto visit = [&](std::size_t i) {
+      ASSERT_LT(i, chunks);
+      hits[i].fetch_add(1);
+    };
+    fan.run(chunks, visit);
+    for (std::size_t i = 0; i < chunks; ++i) {
+      ASSERT_EQ(hits[i].load(), 1) << "job " << job << " chunk " << i;
+    }
+  }
+}
+
+TEST(FanOutDispatchTest, ConcurrentCallersEachCoverTheirOwnJob) {
+  FanOut fan(2);
+  constexpr int kCallers = 4;
+  constexpr int kJobs = 300;
+  std::vector<std::thread> callers;
+  std::atomic<int> bad{0};
+  for (int t = 0; t < kCallers; ++t) {
+    callers.emplace_back([&, t] {
+      for (int job = 0; job < kJobs; ++job) {
+        const std::size_t chunks = 2 + static_cast<std::size_t>(job + t) % 9;
+        std::vector<std::atomic<int>> hits(chunks);
+        auto visit = [&](std::size_t i) { hits[i].fetch_add(1); };
+        fan.run(chunks, visit);
+        for (std::size_t i = 0; i < chunks; ++i) {
+          if (hits[i].load() != 1) bad.fetch_add(1);
+        }
+      }
+    });
+  }
+  for (auto& c : callers) c.join();
+  EXPECT_EQ(bad.load(), 0);
+  EXPECT_GE(fan.jobs_dispatched(), 1u);
+}
+
+TEST(FanOutGlobalTest, GlobalFanOutIsStableAndSizedToTheHost) {
+  FanOut* first = &FanOut::global();
+  FanOut* second = &FanOut::global();
+  EXPECT_EQ(first, second);
+  const unsigned hw = std::thread::hardware_concurrency();
+  EXPECT_EQ(first->helpers(), hw > 1 ? hw - 1 : 0u);
   std::atomic<int> count{0};
-  parallel_for(&pool, 0, 16, /*grain=*/16, [&](std::size_t lo, std::size_t hi) {
-    count.fetch_add(static_cast<int>(hi - lo));
-  });
-  EXPECT_EQ(count.load(), 16);
+  auto visit = [&](std::size_t) { count.fetch_add(1); };
+  first->run(64, visit);
+  EXPECT_EQ(count.load(), 64);
 }
 
 TEST(ThreadPoolSubmitTest, ReturnsTaskResultThroughFuture) {
@@ -123,35 +217,6 @@ TEST(ThreadPoolSubmitTest, ManyConcurrentTasksAllRun) {
   std::size_t expect = 0;
   for (std::size_t i = 0; i < 64; ++i) expect += i * i;
   EXPECT_EQ(sum, expect);
-}
-
-TEST(ThreadPoolSubmitTest, LongRunningTasksDoNotBlockParallelFor) {
-  // A long-running submitted task must not wedge parallel_for chunks queued
-  // behind it as long as another worker is free.
-  ThreadPool pool(2);
-  std::atomic<bool> release{false};
-  auto blocker = pool.submit([&] {
-    while (!release.load()) std::this_thread::yield();
-  });
-  std::atomic<int> count{0};
-  std::thread loop([&] {
-    pool.parallel_for(0, 8, [&](std::size_t lo, std::size_t hi) {
-      count.fetch_add(static_cast<int>(hi - lo));
-    });
-  });
-  loop.join();
-  EXPECT_EQ(count.load(), 8);
-  release.store(true);
-  blocker.get();
-}
-
-TEST(ThreadPoolGlobalTest, GlobalPoolIsStableAcrossCalls) {
-  ThreadPool* first = &ThreadPool::global();
-  ThreadPool* second = &ThreadPool::global();
-  EXPECT_EQ(first, second);
-  EXPECT_GE(first->size(), 1u);
-  auto future = first->submit([] { return 1; });
-  EXPECT_EQ(future.get(), 1);
 }
 
 }  // namespace

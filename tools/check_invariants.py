@@ -8,9 +8,10 @@ Rules
    ``make_unique``/``make_shared``), no ``std::function``, and no mutex
    lock acquisition (``MutexLock``/``lock_guard``/``unique_lock``/
    ``scoped_lock``/``shared_lock`` or a ``.lock()`` call). These regions
-   mark the per-event record paths (metrics record, trace emit) whose
-   contract is "relaxed atomics only" — an allocation or lock slipped into
-   one is a real regression even when every test still passes.
+   mark the per-event record paths (metrics record, trace emit) and the
+   GEMM fan-out dispatch, whose contract is "atomics only" — an allocation
+   or lock slipped into one is a real regression even when every test
+   still passes.
 2. headers: every public header under src/ compiles standalone
    (``$CXX -fsyntax-only`` on a TU that includes just that header), so no
    header silently leans on its includers' includes.
