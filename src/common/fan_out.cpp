@@ -1,6 +1,10 @@
 #include "common/fan_out.h"
 
-#include <system_error>
+#include <exception>
+
+#if defined(__linux__)
+#include <sched.h>
+#endif
 
 #include "common/logging.h"
 
@@ -13,9 +17,41 @@ constexpr unsigned kCountShift = 24;
 constexpr unsigned kGenerationShift = 48;
 constexpr std::uint64_t kGenerationMask = 0xffff;
 
+/// CPUs this process may run on: its affinity mask where the OS exposes
+/// one (taskset, cpuset cgroups), else every online CPU.
+std::size_t usable_cpus() {
+#if defined(__linux__)
+  cpu_set_t set;
+  CPU_ZERO(&set);
+  if (sched_getaffinity(0, sizeof(set), &set) == 0) {
+    const int n = CPU_COUNT(&set);
+    if (n > 0) return static_cast<std::size_t>(n);
+  }
+#endif
+  const unsigned hw = std::thread::hardware_concurrency();
+  return hw > 0 ? hw : 1;
+}
+
+// The fan-out a core of which the calling thread occupies, if any.
+thread_local const FanOut* t_occupied = nullptr;
+
 }  // namespace
 
-FanOut::FanOut(std::size_t helpers) : helper_count_(helpers) {}
+FanOut::Occupancy::Occupancy(FanOut& fan)
+    : fan_(t_occupied == &fan ? nullptr : &fan), prev_(t_occupied) {
+  if (fan_ == nullptr) return;
+  t_occupied = fan_;
+  fan_->occupants_.fetch_add(1, std::memory_order_relaxed);
+}
+
+FanOut::Occupancy::~Occupancy() {
+  if (fan_ == nullptr) return;
+  fan_->occupants_.fetch_sub(1, std::memory_order_relaxed);
+  t_occupied = prev_;
+}
+
+FanOut::FanOut(std::size_t helpers)
+    : helper_count_(helpers), cores_(helpers + 1) {}
 
 FanOut::~FanOut() {
   stop_.store(true, std::memory_order_release);
@@ -26,27 +62,25 @@ FanOut::~FanOut() {
 
 FanOut& FanOut::global() {
   // Leaked on purpose (see header).
-  static FanOut* fan_out = [] {
-    const unsigned hw = std::thread::hardware_concurrency();
-    return new FanOut(hw > 1 ? hw - 1 : 0);
-  }();
+  static FanOut* fan_out = new FanOut(usable_cpus() - 1);
   return *fan_out;
 }
 
-void FanOut::start_helpers() {
+void FanOut::start_helpers() noexcept {
   started_ = true;
   const std::uint32_t epoch = epoch_.load(std::memory_order_relaxed);
-  threads_.reserve(helper_count_);
-  for (std::size_t i = 0; i < helper_count_; ++i) {
-    try {
+  try {
+    threads_.reserve(helper_count_);
+    for (std::size_t i = 0; i < helper_count_; ++i) {
       threads_.emplace_back([this, epoch] { helper_loop(epoch); });
-    } catch (const std::system_error& e) {
-      // Fewer helpers only means less parallelism: the caller still runs
-      // every chunk nobody else claims.
+    }
+  } catch (const std::exception& e) {
+    // The caller still runs every chunk nobody else claims.
+    try {
       ORCO_LOG_WARN("fan-out started " << threads_.size() << " of "
                                        << helper_count_
                                        << " helper threads: " << e.what());
-      break;
+    } catch (...) {
     }
   }
 }
@@ -56,15 +90,19 @@ void FanOut::helper_loop(std::uint32_t seen_epoch) {
     epoch_.wait(seen_epoch, std::memory_order_acquire);
     seen_epoch = epoch_.load(std::memory_order_acquire);
     if (stop_.load(std::memory_order_acquire)) return;
+    working_.fetch_add(1, std::memory_order_relaxed);
     drain(/*helper=*/true);
+    working_.fetch_sub(1, std::memory_order_relaxed);
   }
 }
 
 // ORCO_HOT_PATH BEGIN (fan-out dispatch: atomics and futex waits only)
 void FanOut::run(ChunkFn fn, void* ctx, std::size_t chunks) {
   if (chunks == 0) return;
+  Occupancy occupy(*this);
+  const std::size_t busy_cores = occupants_.load(std::memory_order_relaxed);
   if (chunks == 1 || chunks > kMaxChunks || helper_count_ == 0 ||
-      busy_.load(std::memory_order_relaxed) ||
+      busy_cores >= cores_ || busy_.load(std::memory_order_relaxed) ||
       busy_.exchange(true, std::memory_order_acquire)) {
     for (std::size_t i = 0; i < chunks; ++i) fn(ctx, i);
     return;
@@ -79,7 +117,14 @@ void FanOut::run(ChunkFn fn, void* ctx, std::size_t chunks) {
               std::memory_order_release);
   jobs_.fetch_add(1, std::memory_order_relaxed);
   epoch_.fetch_add(1, std::memory_order_release);
-  epoch_.notify_all();
+  // Wake one helper per free core (and per chunk beyond the caller's).
+  std::size_t wake = cores_ - busy_cores;
+  if (wake > chunks - 1) wake = chunks - 1;
+  if (wake >= threads_.size()) {
+    epoch_.notify_all();
+  } else {
+    for (std::size_t i = 0; i < wake; ++i) epoch_.notify_one();
+  }
 
   const std::size_t mine = drain(/*helper=*/false);
   const auto held = static_cast<std::uint32_t>(chunks - mine);
@@ -90,12 +135,19 @@ void FanOut::run(ChunkFn fn, void* ctx, std::size_t chunks) {
   busy_.store(false, std::memory_order_release);
 }
 
+bool FanOut::oversubscribed() const noexcept {
+  return occupants_.load(std::memory_order_relaxed) +
+             working_.load(std::memory_order_relaxed) >
+         cores_;
+}
+
 std::size_t FanOut::drain(bool helper) noexcept {
   std::size_t ran = 0;
   std::uint64_t w = work_.load(std::memory_order_acquire);
   for (;;) {
     const std::uint64_t next = w & kFieldMask;
     if (next >= ((w >> kCountShift) & kFieldMask)) return ran;
+    if (helper && oversubscribed()) return ran;
     if (!work_.compare_exchange_weak(w, w + 1, std::memory_order_acq_rel,
                                      std::memory_order_acquire)) {
       continue;

@@ -5,6 +5,7 @@
 #include <cstring>
 
 #include "common/check.h"
+#include "common/fan_out.h"
 #include "core/quantization.h"
 #include "common/logging.h"
 #include "obs/config.h"
@@ -142,6 +143,9 @@ void ClusterShard::run() {
     const ClusterId cluster = batch.front().request.cluster;
     const auto popped_at = batch.front().popped_at;
     try {
+      // The batch's compute holds a core: other shards' GEMM helpers
+      // leave it alone.
+      const common::FanOut::Occupancy busy;
       serve_batch(std::move(batch));
     } catch (const std::exception& e) {
       // serve_batch's scope guard has already answered the affected batch

@@ -219,10 +219,10 @@ void apply_epilogue(float* c, std::size_t m, std::size_t n,
 /// Enables/disables GEMM parallelism process-wide (default on). A GEMM of
 /// at least 2^20 multiply-accumulates then spreads its work units over
 /// common::FanOut::global(), the calling thread working alongside the
-/// helpers: kNr-wide column strips on the panel backends (times row blocks
-/// past one kMc block), 8-row blocks on "reference". Units write disjoint
-/// tiles and every output element keeps its one ascending-k chain, so
-/// parallelism never changes a value; turning it off exists for
+/// helpers: kNr-wide column strips on the panel backends (kMc row blocks
+/// when m exceeds one block), 8-row blocks on "reference". Units write
+/// disjoint tiles and every output element keeps its one ascending-k
+/// chain, so parallelism never changes a value; turning it off exists for
 /// scheduling-sensitive measurements.
 void set_gemm_parallelism(bool enabled);
 bool gemm_parallelism();

@@ -55,14 +55,17 @@ bool gemm_fans_out(std::size_t m, std::size_t n, std::size_t k);
 // ORCO_HOT_PATH BEGIN (GEMM dispatch: the unit callable is passed by
 // reference as a function pointer plus context, never type-erased)
 /// Runs unit(0) .. unit(units - 1): over the process fan-out when
-/// `fan_out`, else inline in ascending order. Units write disjoint outputs.
+/// `fan_out`, else inline in ascending order, occupying the caller's core
+/// either way so that no other GEMM's helpers take it. Units write
+/// disjoint outputs.
 template <class F>
 void run_units(bool fan_out, std::size_t units, F& unit) {
+  common::FanOut& fan = common::FanOut::global();
   if (fan_out) {
-    common::FanOut::global().run(units, unit);
-    return;
+    fan.run(units, unit);
+  } else {
+    fan.run_here(units, unit);
   }
-  for (std::size_t u = 0; u < units; ++u) unit(u);
 }
 // ORCO_HOT_PATH END
 
@@ -316,8 +319,7 @@ void pack_a_full(const Backend* owner, const float* a, std::size_t m,
 ///   * m <= kMc with B prepacked (every serving decode GEMM): A is packed
 ///     once for all k panels, then the unit of work is one kNr column strip
 ///     taken through every k panel — one fan-out job per GEMM;
-///   * otherwise, per (pc, jc) panel: units are (row block x group of
-///     column strips), enough of them to keep every worker busy.
+///   * otherwise, per (pc, jc) panel: the unit is one kMc row block.
 /// Units write disjoint tiles, and each tile still reduces its k panels in
 /// ascending order seeded from C, so the split never changes a value: the
 /// fanned-out result is bitwise the inline one.
@@ -395,25 +397,14 @@ void panel_run(const AView& a, const float* b, std::size_t ldb, bool tb,
       }
       b_off += round_up(nc, kNr) * kc;
 
-      // Inline, a unit is a whole row block (A packed once per block);
-      // fanned out, the strips are grouped so that about four units per
-      // worker balance the load, each group repacking its row block.
-      const std::size_t strips = (nc + kNr - 1) / kNr;
-      std::size_t per_group = strips;
-      if (fan_out) {
-        const std::size_t want = 4 * (common::FanOut::global().helpers() + 1);
-        const std::size_t groups =
-            row_blocks >= want ? 1 : (want + row_blocks - 1) / row_blocks;
-        per_group = (strips + groups - 1) / groups;
-      }
-      const std::size_t groups = (strips + per_group - 1) / per_group;
-      const auto unit = [&](std::size_t u) {
+      // A unit is a whole row block, its A packed once.
+      const auto unit = [&](std::size_t blk) {
         thread_local std::vector<float> ap_buf;
-        const std::size_t ic = (u / groups) * kMc;
+        const std::size_t ic = blk * kMc;
         const std::size_t mc = m - ic < kMc ? m - ic : kMc;
         const float* apan;
         if (packed_a != nullptr) {
-          // Block u/groups starts ic rows into the panel; full blocks are
+          // Block blk starts ic rows into the panel; full blocks are
           // kMr-aligned (kMc % kMr == 0), so its offset is exactly ic*kc
           // floats past the panel base.
           apan = packed_a + a_base + ic * kc;
@@ -422,10 +413,7 @@ void panel_run(const AView& a, const float* b, std::size_t ldb, bool tb,
           pack_a_panel<kMr>(a, ic, pc, mc, kc, ap_buf.data());
           apan = ap_buf.data();
         }
-        const std::size_t s0 = (u % groups) * per_group;
-        const std::size_t s1 = s0 + per_group < strips ? s0 + per_group : strips;
-        for (std::size_t s = s0; s < s1; ++s) {
-          const std::size_t jr = s * kNr;
+        for (std::size_t jr = 0; jr < nc; jr += kNr) {
           const float* bpan = bp + jr * kc;
           const std::size_t cols = nc - jr < kNr ? nc - jr : kNr;
           for (std::size_t ir = 0; ir < mc; ir += kMr) {
@@ -435,7 +423,7 @@ void panel_run(const AView& a, const float* b, std::size_t ldb, bool tb,
           }
         }
       };
-      run_units(fan_out, row_blocks * groups, unit);
+      run_units(fan_out, row_blocks, unit);
     }
     a_base += a_rows * kc;
   }
